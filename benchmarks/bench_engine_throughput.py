@@ -53,6 +53,11 @@ def test_engine_throughput(benchmark, frontend, engine, kwargs):
     assert report.n_breaks > 0
 
 
+#: heading of the hand-maintained ``docs/PERFORMANCE.md`` section that
+#: :func:`main` carries over when it regenerates the file
+PAPER_SCALE_HEADING = "## Paper scale"
+
+
 def render_performance_md(payload, sweep_payload=None) -> str:
     """Render the ``docs/PERFORMANCE.md`` speedup table from a
     ``bench_engine`` payload (schema ``repro-bench/v1``); with a
@@ -160,6 +165,12 @@ def main(argv=None) -> int:
     sweep_payload = load_bench(str(sweep_path)) if sweep_path.exists() else None
     text = render_performance_md(payload, sweep_payload)
     out = pathlib.Path(__file__).resolve().parent.parent / "docs" / "PERFORMANCE.md"
+    # the paper-scale section is measured with perfbench, not here:
+    # keep it across regenerations
+    old = out.read_text(encoding="utf-8") if out.exists() else ""
+    _, heading, kept = old.partition(PAPER_SCALE_HEADING)
+    if heading:
+        text += "\n" + heading + kept
     out.write_text(text, encoding="utf-8")
     print(text)
     print(f"[written -> {out}]")

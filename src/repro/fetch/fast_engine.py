@@ -16,12 +16,16 @@ classification pass:
 1. **Flush epochs** — context-switch boundaries partition the trace;
    all replays key their state on ``(epoch, slot)`` so a flush is just
    a fresh key space, never a scan.
-2. **Instruction cache** — direct-mapped caches hit iff the previous
-   access to the same ``(epoch, set)`` carried the same tag; for
-   associative caches a compact Python walk replays the replacement
-   policy exactly, once per geometry, and every derived query
-   (residency probes, way of an access, fill *generation* of a frame)
-   is answered vectorised from its output.
+2. **Instruction cache** — an *MRU repeat* (the previous access to
+   the same ``(epoch, set)`` carried the same tag) is a hit that
+   changes no state under every replacement policy.  Direct-mapped,
+   every other access misses.  For associative caches a compact Python
+   walk replays the replacement policy exactly over the remaining
+   accesses only, once per geometry, and repeats inherit the way of
+   their set's latest walked access.  Every derived query (residency
+   probes, way of an access, fill *generation* of a frame) is answered
+   vectorised from its output; the line-lookup half of a residency
+   probe is shared by every geometry with the same line size.
 3. **Front-end structures** — last-write-wins table slots (BTB /
    NLS-table / Steely–Sager) under the engine's one-block update
    delay; line-coupled predictor frames (NLS-cache, Johnson) keyed by
@@ -216,11 +220,14 @@ def _assoc_cache_walk(
     """Exact scalar replay of a set-associative instruction cache.
 
     Runs once per (geometry, replacement, flush-interval) and is
-    memoised by the batch context; everything downstream (hit flags,
-    ways, residency probes, fill generations) is derived from its
-    output with array passes.  Reproduces ``InstructionCache.access``
-    exactly: probe scan, LRU touch / FIFO rotation / seeded-random
-    victim selection, and full resets at context-switch flushes.
+    memoised by the batch context, which feeds it only the accesses
+    that are not MRU repeats (dropping a repeat changes no answer);
+    everything downstream (hit flags, ways, residency probes, fill
+    generations) is derived from its output with array passes.
+    *flush_accesses* are positions in the given stream.  Reproduces
+    ``InstructionCache.access`` exactly: probe scan, LRU touch / FIFO
+    rotation / seeded-random victim selection, and full resets at
+    context-switch flushes.
     """
     total = len(access_set)
     hit = np.zeros(total, dtype=bool)
@@ -298,9 +305,6 @@ class _IcacheReplay:
         "max_gen",
         "fill_index",
         "fill_times",
-        "line_index",
-        "line_space",
-        "offset_bits",
     )
 
     def __init__(self, **fields) -> None:
@@ -308,19 +312,17 @@ class _IcacheReplay:
             setattr(self, name, value)
 
     def probe(
-        self, addr: np.ndarray, epoch: np.ndarray, times: np.ndarray
+        self, last: np.ndarray, times: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised ``cache.probe``: is each address resident at its
         timestamp, and in which way / frame generation?
 
-        An address is resident iff it has been accessed this epoch and
-        no later fill into its frame displaced it.
+        *last* is the address's last access at or before its timestamp
+        (-1 if none this epoch), from
+        :meth:`TraceReplayContext.last_line_access`.  An address is
+        resident iff it has such an access and no later fill into its
+        frame displaced it.
         """
-        line_word = addr >> self.offset_bits
-        out_of_bounds = (line_word < 0) | (line_word >= self.line_space)
-        safe_word = np.where(out_of_bounds, 0, line_word)
-        last = self.line_index.query(epoch * self.line_space + safe_word, times)
-        last = np.where(out_of_bounds, -1, last)
         safe_last = np.maximum(last, 0)
         frame = self.frame_key[safe_last]
         fill = self.fill_index.query(frame, times)
@@ -443,12 +445,44 @@ class TraceReplayContext:
 
         return self._get(("lineidx", line_bytes, interval), _build)
 
+    def last_line_access(
+        self, line_bytes: int, interval: Optional[int], probe: str
+    ):
+        """Per break, the last access to the line holding the probed
+        address at the probe's time, or -1: ``"target"`` at
+        classification time (after the break's own fetches), ``"pc"``
+        when its deferred update lands (the next event's first line
+        access; junk for the final break).  The query half of
+        :meth:`_IcacheReplay.probe`, shared by every cache geometry
+        with this line size."""
+
+        def _build():
+            br = self.breaks(interval)
+            accesses = self.lines(line_bytes)
+            if probe == "target":
+                addr = br.target
+                times = accesses.end_access[br.events]
+            else:
+                addr = br.pc
+                next_event = br.events + 1
+                safe = np.where(next_event < self.n_events, next_event, 0)
+                times = accesses.first_access[safe]
+            index, space = self.line_index(line_bytes, interval)
+            line_word = addr >> (line_bytes.bit_length() - 1)
+            out_of_bounds = (line_word < 0) | (line_word >= space)
+            safe_word = np.where(out_of_bounds, 0, line_word)
+            last = index.query(br.epoch * space + safe_word, times)
+            return np.where(out_of_bounds, -1, last)
+
+        return self._get(("lastline", line_bytes, interval, probe), _build)
+
     def icache(self, geometry, replacement: str, interval: Optional[int]):
         """The :class:`_IcacheReplay` for one cache configuration."""
         key = ("icache", _geom_key(geometry), replacement, interval)
 
         def _build():
             accesses = self.lines(geometry.line_bytes)
+            total = accesses.total
             epoch, flush_events = self.flush(interval)
             offset_bits = geometry.offset_bits
             n_sets = geometry.n_sets
@@ -457,59 +491,72 @@ class TraceReplayContext:
             access_addr = accesses.access_addr
             access_set = (access_addr >> offset_bits) & (n_sets - 1)
             access_tag = access_addr >> tag_shift
-            access_epoch = epoch[accesses.row_ids]
+            set_key = epoch[accesses.row_ids] * n_sets + access_set
+            sets = kernels.LastWriteIndex(
+                set_key, np.arange(total, dtype=np.int64)
+            )
+            previous = sets.previous_in_key()
+            # an MRU repeat (the previous access to the same (epoch,
+            # set) carried the same tag) hits and changes no state under
+            # every policy: LRU already holds it at MRU, FIFO and random
+            # act only on misses.  Direct-mapped, every other access
+            # misses and lands in way 0.
+            repeat = (previous >= 0) & (
+                access_tag[np.maximum(previous, 0)] == access_tag
+            )
             if assoc == 1:
-                # a direct-mapped access hits iff the previous access
-                # to the same (epoch, set) carried the same tag; the
-                # victim is always way 0 under *every* policy
-                frame = access_epoch * n_sets + access_set
-                previous = kernels.LastWriteIndex(
-                    frame, np.arange(accesses.total, dtype=np.int64)
-                ).previous_in_key()
-                hit = (previous >= 0) & (
-                    access_tag[np.maximum(previous, 0)] == access_tag
-                )
-                way = np.zeros(accesses.total, dtype=np.int64)
+                hit = repeat
+                way = np.zeros(total, dtype=np.int64)
             else:
-                flush_accesses = [
-                    int(accesses.first_access[f]) for f in flush_events
-                ]
-                hit, way = _assoc_cache_walk(
-                    access_set, access_tag, n_sets, assoc, replacement,
-                    flush_accesses,
+                walked = np.nonzero(~repeat)[0]
+                # a flush opens a fresh epoch, so its first access is
+                # never a repeat and has a position in the walked stream
+                flush_accesses = np.searchsorted(
+                    walked, accesses.first_access[flush_events]
+                ).tolist()
+                walked_hit, walked_way = _assoc_cache_walk(
+                    access_set[walked], access_tag[walked], n_sets, assoc,
+                    replacement, flush_accesses,
                 )
-            frame_key = (access_epoch * n_sets + access_set) * assoc + way
+                hit = repeat.copy()
+                hit[walked] = walked_hit
+                # a repeat sits in the way of the latest walked access
+                # to its set (each set's first access is walked)
+                latest = np.empty(total, dtype=np.int64)
+                latest[sets.order] = sets.filtered_last(~repeat)
+                way = np.zeros(total, dtype=np.int64)
+                way[walked] = walked_way
+                way = way[latest]
+            frame_key = set_key * assoc + way
             generation = kernels.segmented_counts(frame_key, ~hit)
             fills = np.nonzero(~hit)[0]
-            index, space = self.line_index(geometry.line_bytes, interval)
             return _IcacheReplay(
                 hit=hit,
                 way=way,
                 gen=generation,
                 frame_key=frame_key,
-                total=accesses.total,
+                total=total,
                 first_access=accesses.first_access,
                 end_access=accesses.end_access,
-                max_gen=int(generation.max()) if accesses.total else 0,
+                max_gen=int(generation.max()) if total else 0,
                 fill_index=kernels.LastWriteIndex(frame_key[fills], fills),
                 fill_times=fills,
-                line_index=index,
-                line_space=space,
-                offset_bits=offset_bits,
             )
 
         return self._get(key, _build)
 
     def target_probe(self, geometry, replacement: str, interval: Optional[int]):
         """``cache.probe(target)`` for every break, at classification
-        time (after the break's own line fetches) — shared by every
-        NLS-family front-end on this cache."""
+        time (after the break's own line fetches): (resident, way),
+        shared by every NLS-family front-end on this cache."""
         key = ("tprobe", _geom_key(geometry), replacement, interval)
 
         def _build():
             cache = self.icache(geometry, replacement, interval)
             br = self.breaks(interval)
-            return cache.probe(br.target, br.epoch, cache.end_access[br.events])
+            last = self.last_line_access(geometry.line_bytes, interval, "target")
+            resident, way, _ = cache.probe(last, cache.end_access[br.events])
+            return resident, way
 
         return self._get(key, _build)
 
@@ -546,7 +593,8 @@ class TraceReplayContext:
             safe = np.where(has, next_event, 0)
             same_epoch = has & (epoch[safe] == br.epoch)
             write_time = cache.first_access[safe]
-            resident, way, generation = cache.probe(br.pc, br.epoch, write_time)
+            last = self.last_line_access(geometry.line_bytes, interval, "pc")
+            resident, way, generation = cache.probe(last, write_time)
             writer = same_epoch & resident
             widx = np.nonzero(writer)[0]
             return SimpleNamespace(
@@ -633,7 +681,7 @@ class TraceReplayContext:
             keys = self._gshare_keys(pht_entries, interval)
             order = self._orders.pop(("gshare", pht_entries, interval), None)
             if order is None:
-                order = np.argsort(keys.cell_key, kind="stable")
+                order = kernels.stable_order(keys.cell_key)
             before_sorted, after_sorted = kernels.counter_scan(
                 keys.cell_key[order], keys.cond_taken[order].astype(bool), 1, 3
             )
@@ -916,6 +964,41 @@ class TraceReplayContext:
 
         return self._get(key, _build)
 
+    def _table_slots(self, frontend, entries, interval):
+        """Per break, the last write to its NLS-table / Steely–Sager
+        slot (any kind, or -1), the mechanism that write stored, and
+        the last *taken* write that set the line field (or -1), under
+        the one-block visibility delay.  Independent of the cache
+        geometry, so shared by every cache the table front-end is swept
+        over."""
+
+        def _build():
+            br = self.breaks(interval)
+            slot_key = br.epoch * entries + (br.word & (entries - 1))
+            # one sorted index answers both queries
+            order = self._orders.pop(("table", entries, interval), None)
+            slot_index = kernels.LastWriteIndex(
+                slot_key, br.events, order=order
+            )
+            slot_pos = slot_index.positions(slot_key, br.qtime)
+            # line field: only taken writes (Steely–Sager: indirect
+            # branches write the shared goto register instead)
+            if frontend == "steely-sager":
+                line_flag = br.taken & (br.kind != _INDIRECT)
+            else:
+                line_flag = br.taken
+            filtered = slot_index.filtered_last(line_flag)
+            last_line = np.where(
+                slot_pos >= 0, filtered[np.maximum(slot_pos, 0)], -1
+            )
+            last_any = slot_index.resolve(slot_pos)
+            mech = np.where(
+                last_any >= 0, _KIND_TO_MECH[br.kind[np.maximum(last_any, 0)]], 0
+            )
+            return last_any, mech, last_line
+
+        return self._get(("table-slots", frontend, entries, interval), _build)
+
     def _table_replay(self, config):
         """Vectorised NLS table / Steely–Sager replay (PC-indexed
         last-write-wins slots; the stored *way* is the next event's
@@ -933,31 +1016,11 @@ class TraceReplayContext:
         def _build():
             br = self.breaks(interval)
             nb = br.n
-            slot_key = br.epoch * entries + (br.word & (entries - 1))
-            # one sorted index answers both queries: the type field
-            # (last write of any kind) and the line field (last
-            # *taken* write), under the one-block visibility delay
-            order = self._orders.pop(("table", entries, interval), None)
-            slot_index = kernels.LastWriteIndex(
-                slot_key, br.events, order=order
+            last_any, mech, last_line_w = self._table_slots(
+                frontend, entries, interval
             )
-            slot_pos = slot_index.positions(slot_key, br.qtime)
-            last_any = slot_index.resolve(slot_pos)
-            has_entry = last_any >= 0
-            slot_kind = br.kind[np.maximum(last_any, 0)]
-            mech = np.where(has_entry, _KIND_TO_MECH[slot_kind], 0)
             lf_mask = (1 << geometry.line_field_bits) - 1
             target_lf = (br.target >> 2) & lf_mask
-            # line field: only taken writes (Steely–Sager: indirect
-            # branches write the shared goto register instead)
-            if frontend == "steely-sager":
-                line_flag = br.taken & (br.kind != _INDIRECT)
-            else:
-                line_flag = br.taken
-            filtered = slot_index.filtered_last(line_flag)
-            last_line_w = np.where(
-                slot_pos >= 0, filtered[np.maximum(slot_pos, 0)], -1
-            )
             has_line = last_line_w >= 0
             safe_line = np.maximum(last_line_w, 0)
             stored_lf = np.where(
@@ -966,7 +1029,9 @@ class TraceReplayContext:
             nw = self.next_way(geometry, replacement, interval)
             stored_way = np.where(has_line, nw[safe_line], 0)
             if frontend == "steely-sager":
-                indirect_slot = has_entry & (slot_kind == _INDIRECT)
+                indirect_slot = (last_any >= 0) & (
+                    br.kind[np.maximum(last_any, 0)] == _INDIRECT
+                )
                 goto_writers = np.nonzero(
                     br.taken & (br.kind == _INDIRECT)
                 )[0]
@@ -991,7 +1056,7 @@ class TraceReplayContext:
                 # indirect-marked slot with an invalid goto register
                 # yields an INVALID prediction (no mechanism at all)
                 mech = np.where(indirect_slot & ~goto_valid, 0, mech)
-            resident, t_way, _ = self.target_probe(
+            resident, t_way = self.target_probe(
                 geometry, replacement, interval
             )
             lf_eq = stored_lf == target_lf
@@ -1025,7 +1090,7 @@ class TraceReplayContext:
             fb = self._frame_base(geometry, replacement, interval)
             widx = fb.widx
             assoc = geometry.associativity
-            resident, t_way, _ = self.target_probe(
+            resident, t_way = self.target_probe(
                 geometry, replacement, interval
             )
             if len(widx) == 0:
@@ -1121,7 +1186,7 @@ class TraceReplayContext:
             fb = self._frame_base(geometry, replacement, interval)
             widx = fb.widx
             n_upd = len(widx)
-            resident, t_way, _ = self.target_probe(
+            resident, t_way = self.target_probe(
                 geometry, replacement, interval
             )
             nw = self.next_way(geometry, replacement, interval)
@@ -1137,7 +1202,7 @@ class TraceReplayContext:
                     np.ones(nb, dtype=np.int64),
                 ]
             )
-            merged = np.lexsort((is_look, seq_time))
+            merged = kernels.stable_order(seq_time * 2 + is_look)
             keys = seq_key.tolist()
             offsets = seq_off.tolist()
             kinds_u = br.kind[widx].tolist()

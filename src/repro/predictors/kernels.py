@@ -8,6 +8,8 @@ back into state.  Simulation therefore decomposes into independent
 exact per-structure replays, each expressible as a handful of sorts,
 searchsorteds and segmented scans over the packed trace columns:
 
+* :func:`stable_order` — stable argsort of non-negative int64 keys as
+  an LSD radix over 16-bit digits (the sort every other kernel uses);
 * :func:`ragged_ranges` — expand per-event lengths into flat
   (row, offset) streams (cache-line accesses per block);
 * :func:`previous_same_key` — for each element, the index of the
@@ -32,6 +34,32 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+
+#: keys at or above this bound (three 16-bit digits) take NumPy's
+#: comparison sort instead of the radix passes
+_RADIX_LIMIT = 1 << 48
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, computed as an LSD radix.
+
+    Each pass stable-sorts one 16-bit digit, which NumPy runs as a
+    counting radix sort, so non-negative keys below 2**48 cost at most
+    three linear passes instead of a comparison sort.  Negative or
+    larger keys fall back to ``np.argsort``.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if len(keys) == 0:
+        return np.zeros(0, dtype=np.intp)
+    high = int(keys.max())
+    if high >= _RADIX_LIMIT or int(keys.min()) < 0:
+        return np.argsort(keys, kind="stable")
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, high.bit_length(), 16):
+        digit = (keys >> shift).astype(np.uint16)
+        order = order[np.argsort(digit[order], kind="stable")]
+    return order
 
 
 def ragged_ranges(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,7 +124,7 @@ class LastWriteIndex:
         if self.n == 0:
             return
         self.order = (
-            order if order is not None else np.argsort(keys, kind="stable")
+            order if order is not None else stable_order(keys)
         )
         self.sorted_keys = keys[self.order]
         self.big = int(times.max()) + 2
@@ -106,14 +134,21 @@ class LastWriteIndex:
         """Sorted-array position of the last write with the query's
         key at or before the query's time, or -1.
 
-        Query times may be negative (matching nothing).
+        Query times may be negative (matching nothing).  The probes
+        are searched in ascending order, which keeps the binary search
+        cache-local, and the answers scattered back to query order.
         """
         query_keys = np.asarray(query_keys, dtype=np.int64)
         query_times = np.asarray(query_times, dtype=np.int64)
         if self.n == 0 or len(query_keys) == 0:
             return np.full(len(query_keys), -1, dtype=np.int64)
         probes = query_keys * self.big + np.clip(query_times, -1, self.big - 2)
-        pos = np.searchsorted(self.composite, probes, side="right") - 1
+        # probes are >= -1; the shift keeps them on the radix path
+        ascending = stable_order(probes + 1)
+        pos = np.empty(len(probes), dtype=np.int64)
+        pos[ascending] = (
+            np.searchsorted(self.composite, probes[ascending], side="right") - 1
+        )
         safe = np.maximum(pos, 0)
         found = (pos >= 0) & (self.sorted_keys[safe] == query_keys)
         return np.where(found, pos, -1)
@@ -286,7 +321,7 @@ def segmented_counts(keys: np.ndarray, flags: np.ndarray) -> np.ndarray:
     n = len(keys)
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     flagged = flags[order].astype(np.int64)
     running = np.cumsum(flagged)
     first = segment_starts(keys[order])
@@ -316,7 +351,7 @@ def batched_orders(keys_2d: np.ndarray) -> list:
     bases = np.zeros(n_variants, dtype=np.int64)
     np.cumsum(spaces[:-1], out=bases[1:])
     shifted = (keys_2d + bases[:, None]).ravel()
-    order = np.argsort(shifted, kind="stable")
+    order = stable_order(shifted)
     # variant b's n elements occupy sorted positions [b*n, (b+1)*n)
     # because its key range is disjoint from and below variant b+1's
     return [order[b * n : (b + 1) * n] - b * n for b in range(n_variants)]

@@ -559,6 +559,9 @@ class ServiceServer:
         writer.write(head)
         await writer.drain()
         while True:
+            # terminal state is set only after the final event lands, so
+            # a read made after observing it drains the log completely
+            finished = job.done or job.suspended
             events = job.log.events_since(offset)
             if events:
                 offset += len(events)
@@ -568,14 +571,12 @@ class ServiceServer:
                 writer.write(f"{len(chunk):x}\r\n".encode("latin-1"))
                 writer.write(chunk + b"\r\n")
                 await writer.drain()
-                continue
-            # terminal state is set only after the final event lands, so
-            # done + drained log means the stream is complete
-            if job.done or job.suspended:
+            if finished:
                 break
-            await asyncio.get_running_loop().run_in_executor(
-                None, job.log.wait_beyond, offset, 0.25
-            )
+            if not events:
+                await asyncio.get_running_loop().run_in_executor(
+                    None, job.log.wait_beyond, offset, 0.25
+                )
         writer.write(b"0\r\n\r\n")
         await writer.drain()
 

@@ -11,6 +11,8 @@ reference engine with the reason stamped for the run manifest.
 
 import json
 import random
+
+import numpy as np
 from dataclasses import replace
 
 import pytest
@@ -25,12 +27,14 @@ from repro.fetch.engine import FetchEngine
 from repro.fetch.fast_engine import (
     FastEngine,
     TraceReplayContext,
+    _assoc_cache_walk,
     unsupported_reason,
 )
 from repro.harness.config import ArchitectureConfig
 from repro.harness.export import _jsonable
 from repro.harness.runner import RunPlan, RunRequest, run_request
 from repro.harness.spec import ExperimentPlan, ExperimentResult, with_engine
+from repro.predictors import kernels
 from repro.telemetry.core import Registry, use
 from repro.workloads.corpus import generate_trace
 
@@ -91,6 +95,18 @@ class TestDifferentialEquivalence:
         )
         reference, fast = run_both(config)
         assert reference == fast
+        assert as_json(reference) == as_json(fast)
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
+    def test_four_way_cache_under_each_policy(self, replacement):
+        config = ArchitectureConfig(
+            frontend="nls-table",
+            cache_kb=8,
+            cache_assoc=4,
+            cache_replacement=replacement,
+            flush_interval=7_777,
+        )
+        reference, fast = run_both(config, warmup=0.3)
         assert as_json(reference) == as_json(fast)
 
     def test_second_program(self):
@@ -455,6 +471,57 @@ class TestBatchedContext:
                 "fast-batched",
                 "fast-single",
             )
+
+
+@pytest.fixture(scope="module")
+def long_trace():
+    return generate_trace("gcc", instructions=200_000)
+
+
+class TestFilteredCacheWalk:
+    """The associative I-cache replay walks only the accesses that are
+    not MRU repeats; its columns must equal a walk over every access."""
+
+    @pytest.mark.parametrize("interval", [None, 7_777])
+    @pytest.mark.parametrize("assoc", [2, 4, 8])
+    @pytest.mark.parametrize("replacement", ["lru", "fifo", "random"])
+    def test_matches_unfiltered_walk(
+        self, long_trace, replacement, assoc, interval
+    ):
+        geometry = ArchitectureConfig(cache_kb=4, cache_assoc=assoc).geometry
+        context = TraceReplayContext(long_trace)
+        cache = context.icache(geometry, replacement, interval)
+        accesses = context.lines(geometry.line_bytes)
+        epoch, flush_events = context.flush(interval)
+        n_sets = geometry.n_sets
+        access_set = (accesses.access_addr >> geometry.offset_bits) & (
+            n_sets - 1
+        )
+        access_tag = accesses.access_addr >> (
+            geometry.offset_bits + geometry.set_index_bits
+        )
+        hit, way = _assoc_cache_walk(
+            access_set,
+            access_tag,
+            n_sets,
+            assoc,
+            replacement,
+            [int(accesses.first_access[f]) for f in flush_events],
+        )
+        set_key = epoch[accesses.row_ids] * n_sets + access_set
+        frame_key = set_key * assoc + way
+        assert np.array_equal(cache.hit, hit)
+        assert np.array_equal(cache.way, way)
+        assert np.array_equal(cache.frame_key, frame_key)
+        assert np.array_equal(
+            cache.gen, kernels.segmented_counts(frame_key, ~hit)
+        )
+        # the filter has work to skip, and flushes land mid-trace
+        previous = kernels.previous_same_key(set_key)
+        repeats = (previous >= 0) & (access_tag[previous] == access_tag)
+        assert 0 < np.count_nonzero(repeats) < len(repeats)
+        assert (len(flush_events) > 0) == (interval is not None)
+        assert np.count_nonzero(~hit) > n_sets * assoc
 
 
 class TestPackedTrace:

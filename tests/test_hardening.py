@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -619,13 +620,23 @@ class TestHardenedAPI:
         assert scheduler.admission.inflight("alice") == (0, 0)
 
     def test_overload_sheds_with_retry_after_and_accepted_jobs_finish(
-        self, gated_service
+        self, gated_service, monkeypatch
     ):
         """Bob (max one job in flight) floods: exactly the quota is
         accepted, the rest shed with 429 + Retry-After, and every
         accepted job still completes."""
         from repro.telemetry.core import Registry, set_registry
 
+        # hold the accepted job in flight until the flood is over, so it
+        # cannot finish and free Bob's quota between two requests
+        release = threading.Event()
+        execute = RunPlan.execute
+
+        def held_execute(self, *args, **kwargs):
+            release.wait(timeout=30)
+            return execute(self, *args, **kwargs)
+
+        monkeypatch.setattr(RunPlan, "execute", held_execute)
         previous = set_registry(Registry(enabled=True))
         url, scheduler = gated_service
         payload = _cells_payload(
@@ -643,6 +654,7 @@ class TestHardenedAPI:
                 token="bob-key",
             )
             outcomes.append((status, body, headers))
+        release.set()
         accepted = [o for o in outcomes if o[0] == 202]
         shed = [o for o in outcomes if o[0] == 429]
         assert len(accepted) == 1 and len(shed) == 3

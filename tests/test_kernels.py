@@ -8,9 +8,56 @@ of its contract.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predictors import kernels
 from repro.predictors.counters import SaturatingCounter
+
+#: key universes for :func:`kernels.stable_order`: one, two and three
+#: radix digits, past the radix limit, and signed
+KEY_RANGES = {
+    "below-2^16": (0, (1 << 16) - 1),
+    "below-2^32": (0, (1 << 32) - 1),
+    "below-2^48": (1 << 32, (1 << 48) - 1),
+    "above-2^48": (1 << 48, (1 << 63) - 1),
+    "negative": (-(1 << 63), (1 << 16)),
+}
+
+
+def _tied_keys(low, high):
+    """Key lists drawn from a small pool, so equal keys are common."""
+    return st.lists(
+        st.integers(low, high), min_size=1, max_size=6
+    ).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=200))
+
+
+class TestStableOrder:
+    @pytest.mark.parametrize("universe", sorted(KEY_RANGES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_stable_argsort(self, universe, data):
+        keys = np.array(
+            data.draw(_tied_keys(*KEY_RANGES[universe])), dtype=np.int64
+        )
+        assert np.array_equal(
+            kernels.stable_order(keys), np.argsort(keys, kind="stable")
+        )
+
+    @pytest.mark.parametrize("keys", [[], [5], [1 << 40], [-3]])
+    def test_empty_and_single(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        order = kernels.stable_order(keys)
+        assert order.tolist() == list(range(len(keys)))
+        assert order.dtype == np.intp
+
+    def test_ties_across_every_digit(self):
+        rng = np.random.RandomState(8)
+        digits = rng.randint(0, 3, size=(3, 5000)).astype(np.int64)
+        keys = digits[0] | (digits[1] << 16) | (digits[2] << 32)
+        assert np.array_equal(
+            kernels.stable_order(keys), np.argsort(keys, kind="stable")
+        )
 
 
 class TestRaggedRanges:
@@ -140,6 +187,41 @@ class TestLastWriteIndex:
                     expected = w
             got = filtered[positions[q]] if positions[q] >= 0 else -1
             assert got == expected, q
+
+    def test_positions_independent_of_query_order(self):
+        keys, times, index = self.build(seed=29)
+        rng = np.random.RandomState(30)
+        query_keys = rng.randint(0, 18, size=500)
+        query_times = rng.randint(-3000, 6000, size=500)
+        expected = np.array(
+            [
+                max(
+                    (
+                        p
+                        for p in range(len(keys))
+                        if index.sorted_keys[p] == k
+                        and times[index.order[p]] <= t
+                    ),
+                    default=-1,
+                )
+                for k, t in zip(query_keys, query_times)
+            ]
+        )
+        by_time = np.argsort(query_times, kind="stable")
+        for permutation in (
+            np.arange(500),
+            by_time,
+            by_time[::-1],
+            np.lexsort((query_times, query_keys))[::-1],
+            rng.permutation(500),
+        ):
+            assert np.array_equal(
+                index.positions(
+                    query_keys[permutation], query_times[permutation]
+                ),
+                expected[permutation],
+            )
+        assert (expected[query_times < 0] == -1).all()
 
     def test_shared_order_matches_fresh_sort(self):
         keys, times, _ = self.build(seed=28)

@@ -14,6 +14,7 @@ each unique cell once.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.error
@@ -252,6 +253,53 @@ def _post(url: str, payload) -> tuple:
 def _stream(url: str):
     with urllib.request.urlopen(url) as response:
         return [json.loads(line) for line in response if line.strip()]
+
+
+class _FinishingLog(JobEventLog):
+    """An event log whose first empty read lands the final event and
+    turns the job terminal before the reader checks the job's state."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.job = None
+
+    def events_since(self, offset):
+        events = super().events_since(offset)
+        if not events and not self.job.done:
+            self.append("job-completed")
+            self.job.complete({}, {})
+        return events
+
+
+class _BufferWriter:
+    def __init__(self) -> None:
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestEventStreamRace:
+    def test_final_event_landing_after_an_empty_read_is_streamed(self):
+        from repro.service.api import ServiceServer
+
+        log = _FinishingLog()
+        job = Job(parse_job_spec(_cells_payload([_request()])), log=log)
+        log.job = job
+        log.append("job-queued")
+        writer = _BufferWriter()
+        asyncio.run(ServiceServer(None)._stream_events(writer, job, ""))
+        _head, _, body = writer.data.partition(b"\r\n\r\n")
+        events = [
+            json.loads(line)["event"]
+            for line in body.split(b"\r\n")
+            if line.startswith(b"{")
+        ]
+        assert events == ["job-queued", "job-completed"]
+        assert body.endswith(b"0\r\n\r\n")
 
 
 @pytest.fixture(scope="module")
