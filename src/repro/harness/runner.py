@@ -52,9 +52,12 @@ Passing an :class:`ExecutionPolicy` turns on the resilience layer
   ``runner.pool_fallback`` counter, and a ``pool_fallback`` marker in
   each cell's :class:`~repro.telemetry.manifest.RunManifest`.
 
-Without a policy the backends keep their historical strict contract:
-the first failing cell raises :class:`CellExecutionError` (naming the
-cell) and aborts the plan.
+Without a policy, execution is strict: :meth:`RunPlan.execute` runs
+the same supervised loop under a zero-retry policy, and the first
+failing cell raises :class:`CellExecutionError` (naming the cell) and
+aborts the plan — identically on both backends.  With a result store,
+each cell is written to it as it completes, so an aborted plan keeps
+every cell finished before the failure.
 
 Every cell's report carries a :class:`~repro.metrics.report.RunMetadata`
 and a :class:`~repro.telemetry.manifest.RunManifest`, so provenance
@@ -504,11 +507,14 @@ def _cell_error_from_record(
 
 
 class _PlanSupervisor:
-    """Per-execution retry/quarantine/journal bookkeeping.
+    """Per-execution retry/quarantine/store/journal bookkeeping.
 
     One instance supervises one plan execution; both backends drive it
-    with :meth:`succeed` / :meth:`fail`, so the journal format, retry
-    taxonomy and quarantine rules are identical everywhere.
+    with :meth:`succeed` / :meth:`fail`, so store writes, the journal
+    format, retry taxonomy and quarantine rules are identical
+    everywhere.  A *strict* supervisor (the ``policy=None`` default of
+    :meth:`RunPlan.execute`) raises :class:`CellExecutionError` where
+    it would otherwise quarantine.
     """
 
     def __init__(
@@ -517,10 +523,12 @@ class _PlanSupervisor:
         policy: ExecutionPolicy,
         strict: bool = False,
         observer: Optional[PlanObserver] = None,
+        store: Optional[Any] = None,
     ) -> None:
         self.policy = policy
         self.strict = strict
         self.observer = observer
+        self.store = store
         self.registry = get_registry()
         self.results: Dict[RunRequest, SimulationReport] = {}
         self.failures: Dict[RunRequest, CellFailure] = {}
@@ -538,6 +546,8 @@ class _PlanSupervisor:
                 self.results.update(replayed)
                 self.registry.counter("runner.resumed_cells").add(len(replayed))
                 for request, report in replayed.items():
+                    if store is not None:
+                        store.put(request, report)
                     notify(self.observer, "resumed", request, report)
                 self.pending = [
                     request
@@ -545,9 +555,21 @@ class _PlanSupervisor:
                     if request not in self.results
                 ]
 
+    def unfinished(self) -> List[RunRequest]:
+        """Pending cells neither completed nor quarantined yet."""
+        return [
+            request
+            for request in self.pending
+            if request not in self.results and request not in self.failures
+        ]
+
     def succeed(self, request: RunRequest, report: SimulationReport) -> None:
-        """Record one completed cell (journalled durably when on)."""
+        """Record one completed cell: put into the store, journalled
+        durably (each when on), then announced to the observer — so a
+        crash after any completion loses nothing already reported."""
         self.results[request] = report
+        if self.store is not None:
+            self.store.put(request, report)
         if self.journal is not None:
             self.journal.append(request, report)
             self.registry.counter("runner.journal_appends").add()
@@ -561,7 +583,8 @@ class _PlanSupervisor:
         until ``max_retries`` is exhausted.  Any other failure retries
         too — unless it repeats with the same type and message, which
         marks it deterministic and quarantines it on the spot.  In
-        strict mode (no user policy) quarantine raises instead.
+        strict mode (no user policy: zero retries) quarantine raises
+        :class:`CellExecutionError` naming the cell instead.
         """
         attempts = self.attempts.get(request, 0) + 1
         self.attempts[request] = attempts
@@ -617,10 +640,6 @@ class _PlanSupervisor:
 # backends
 # ---------------------------------------------------------------------------
 
-_ExecuteResult = Tuple[
-    Dict[RunRequest, SimulationReport], Dict[RunRequest, CellFailure]
-]
-
 
 def _group_signature(request: RunRequest) -> str:
     """Batch-compatibility signature: how this cell will execute.
@@ -671,104 +690,81 @@ def _shared_batch_context(batch: Sequence[RunRequest]):
     return context
 
 
-def _context_groups(
+def _groups(
     requests: Sequence[RunRequest],
-) -> List[List[RunRequest]]:
-    """Group cells by (trace key, batch-compatibility signature) in
-    first-seen order — the serial backend's unit of context sharing."""
-    groups: Dict[tuple, List[RunRequest]] = {}
+) -> Dict[Tuple[Any, str], List[RunRequest]]:
+    """Cells keyed by (resolved trace key, batch-compatibility
+    signature), keys and members in first-seen order.
+
+    Each group replays through one shared batch context.  The serial
+    backend walks the groups in this order; the pool and
+    :func:`plan_shards` take the key-sorted view
+    (:func:`_batches_by_trace`)."""
+    groups: Dict[Tuple[Any, str], List[RunRequest]] = {}
     for request in requests:
         key = (request.resolved_trace_key(), _group_signature(request))
         groups.setdefault(key, []).append(request)
-    return list(groups.values())
+    return groups
 
 
 def _execute_serial(
-    requests: Sequence[RunRequest],
+    supervisor: _PlanSupervisor,
     jobs: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-    manifest_extra: Optional[Dict[str, Any]] = None,
-    observer: Optional[PlanObserver] = None,
     cancel: Optional[Callable[[], bool]] = None,
-) -> _ExecuteResult:
-    """In-process backend: cells grouped by (trace, signature), each
-    group sharing one batch context; insertion order within groups.
+    manifest_extra: Optional[Dict[str, Any]] = None,
+) -> None:
+    """In-process backend: runs the supervisor's unfinished cells
+    group by group (:func:`_groups` order), each group sharing one
+    batch context; insertion order within groups.
 
-    Without a policy this is the historical strict loop — the first
-    failure raises (unwrapped) and aborts.  With one, cells retry with
-    backoff under the per-cell deadline and quarantine instead of
-    aborting, journalling completions as they land.
+    Failed attempts retry with backoff under the per-cell deadline
+    until the supervisor quarantines the cell — or, when strict,
+    raises :class:`CellExecutionError` naming it.  The pool's
+    start-failure fallback reuses this loop with a ``pool_fallback``
+    *manifest_extra*.
 
     A *cancel* predicate is polled between cells: once it returns
-    true, no further cell starts and the partial results are returned
-    — cells neither completed nor quarantined are simply absent from
-    both mappings (the cooperative-cancellation contract the service
-    scheduler relies on)."""
-    if policy is None:
-        results: Dict[RunRequest, SimulationReport] = {}
-        for group in _context_groups(requests):
+    true, no further cell starts — cells neither completed nor
+    quarantined are simply absent from the supervisor's results (the
+    cooperative-cancellation contract the service scheduler relies
+    on)."""
+    for group in _groups(supervisor.unfinished()).values():
+        if cancel is not None and cancel():
+            return
+        context = _shared_batch_context(group)
+        for request in group:
             if cancel is not None and cancel():
-                return results, {}
-            context = _shared_batch_context(group)
-            for request in group:
-                if cancel is not None and cancel():
-                    return results, {}
-                results[request] = run_request(
-                    request,
-                    backend="serial",
-                    manifest_extra=manifest_extra,
-                    context=context,
-                )
-                notify(observer, "completed", request, results[request])
-        return results, {}
-    supervisor = _PlanSupervisor(requests, policy, observer=observer)
-    cancelled = False
-    try:
-        for group in _context_groups(supervisor.pending):
-            if cancelled:
-                break
-            context = _shared_batch_context(group)
-            for request in group:
-                if cancel is not None and cancel():
-                    cancelled = True
-                    break
-                while True:
-                    try:
-                        with _deadline(policy.cell_timeout):
-                            report = run_request(
-                                request,
-                                backend="serial",
-                                manifest_extra=manifest_extra,
-                                context=context,
-                            )
-                    except Exception as exc:
-                        delay = supervisor.fail(request, _error_record(exc))
-                        if delay is None:
-                            break
-                        if delay > 0:
-                            time.sleep(delay)
-                    else:
-                        supervisor.succeed(request, report)
+                return
+            while True:
+                try:
+                    with _deadline(supervisor.policy.cell_timeout):
+                        report = run_request(
+                            request,
+                            backend="serial",
+                            manifest_extra=manifest_extra,
+                            context=context,
+                        )
+                except Exception as exc:
+                    delay = supervisor.fail(request, _error_record(exc))
+                    if delay is None:
                         break
-    finally:
-        supervisor.finish()
-    return supervisor.results, supervisor.failures
+                    if delay > 0:
+                        time.sleep(delay)
+                else:
+                    supervisor.succeed(request, report)
+                    break
 
 
 def _batches_by_trace(requests: Sequence[RunRequest]) -> List[List[RunRequest]]:
-    """Group cells sharing a trace *and* a batch-compatibility
-    signature, so a worker generates each trace once and replays a
+    """The :func:`_groups` batches sorted by (fully resolved trace key,
+    signature), so a worker generates each trace once and replays a
     whole compatible group through one shared batch context.
 
-    Batches are sorted by (fully resolved trace key, signature), so
-    the pool sees an identical work order regardless of request order
-    or ``PYTHONHASHSEED`` — batch assignment is reproducible run to
-    run.
+    The sort gives the pool an identical work order regardless of
+    request order or ``PYTHONHASHSEED`` — batch assignment is
+    reproducible run to run.
     """
-    groups: Dict[tuple, List[RunRequest]] = {}
-    for request in requests:
-        key = (request.resolved_trace_key(), _group_signature(request))
-        groups.setdefault(key, []).append(request)
+    groups = _groups(requests)
     return [groups[key] for key in sorted(groups)]
 
 
@@ -780,13 +776,14 @@ def plan_shards(requests: Sequence[RunRequest]) -> List[Dict[str, Any]]:
     see how their cells were grouped (and that batched kernel passes
     survived the service boundary); it is also what the scheduler
     reports as a job's shard count."""
+    groups = _groups(requests)
     return [
         {
-            "trace_key": list(batch[0].resolved_trace_key()),
-            "signature": _group_signature(batch[0]),
-            "cells": len(batch),
+            "trace_key": list(trace),
+            "signature": signature,
+            "cells": len(groups[trace, signature]),
         }
-        for batch in _batches_by_trace(requests)
+        for trace, signature in sorted(groups)
     ]
 
 
@@ -838,21 +835,6 @@ def _run_batch_outcomes(
     return outcomes, snapshot
 
 
-def _run_batch(
-    batch: List[RunRequest],
-) -> Tuple[List[Tuple[RunRequest, SimulationReport]], Optional[Dict[str, Any]]]:
-    """Strict batch wrapper: any failed cell raises
-    :class:`CellExecutionError` naming the cell (the historical
-    worker contract, still used directly by tests)."""
-    outcomes, snapshot = _run_batch_outcomes(batch)
-    pairs = []
-    for request, status, payload in outcomes:
-        if status == "error":
-            raise _cell_error_from_record(request, payload)
-        pairs.append((request, payload))
-    return pairs, snapshot
-
-
 #: exceptions that mean "the pool could not start at all"
 _POOL_START_ERRORS = (OSError, PermissionError, ValueError, RuntimeError)
 
@@ -883,68 +865,35 @@ def _terminate_executor(executor: Optional[ProcessPoolExecutor]) -> None:
             process.terminate()
 
 
-def _serial_completion(
-    supervisor: _PlanSupervisor, requests: Sequence[RunRequest]
-) -> None:
-    """Finish *requests* in-process under *supervisor* (the pool-loss
-    degradation path), marking every manifest with ``pool_fallback``."""
-    for request in requests:
-        while True:
-            try:
-                with _deadline(supervisor.policy.cell_timeout):
-                    report = run_request(
-                        request,
-                        backend="serial",
-                        manifest_extra={"pool_fallback": True},
-                    )
-            except Exception as exc:
-                delay = supervisor.fail(request, _error_record(exc))
-                if delay is None:
-                    break
-                if delay > 0:
-                    time.sleep(delay)
-            else:
-                supervisor.succeed(request, report)
-                break
-
-
 def _execute_process(
-    requests: Sequence[RunRequest],
+    supervisor: _PlanSupervisor,
     jobs: Optional[int] = None,
-    policy: Optional[ExecutionPolicy] = None,
-    observer: Optional[PlanObserver] = None,
     cancel: Optional[Callable[[], bool]] = None,
-) -> _ExecuteResult:
-    """Multiprocessing backend: same-trace batches fan out to a
-    supervised ``ProcessPoolExecutor``.
+) -> None:
+    """Multiprocessing backend: same-trace batches of the supervisor's
+    pending cells fan out to a supervised ``ProcessPoolExecutor``.
 
     A *cancel* predicate is polled each scheduling round: once true,
     queued batches are cancelled, pending retries dropped, and only
     outcomes already delivered by the pool are harvested — cancelled
-    cells are absent from both result mappings (batch granularity:
+    cells are absent from the supervisor's results (batch granularity:
     batches already on a worker run to completion).
 
     Worker telemetry snapshots are merged into the parent's active
     registry, so counter totals and per-cell spans are equivalent to a
     serial run.  A broken pool (killed worker) is rebuilt and its
     in-flight cells redistributed; a pool that cannot start at all
-    degrades to the serial path with a warning and a
-    ``runner.pool_fallback`` counter.  ``KeyboardInterrupt`` tears the
-    pool down hard (no zombie workers) with the journal flushed.
+    degrades — with a warning and a ``runner.pool_fallback`` counter —
+    to :func:`_execute_serial` over the unfinished cells, which keeps
+    honouring *cancel*.  ``KeyboardInterrupt`` tears the pool down hard
+    (no zombie workers).
     """
-    if not requests:
-        return {}, {}
+    if not supervisor.pending:
+        return
     if jobs is None or jobs < 1:
         jobs = os.cpu_count() or 1
-    strict = policy is None
-    effective = ExecutionPolicy(max_retries=0) if strict else policy
-    registry = get_registry()
-    supervisor = _PlanSupervisor(
-        requests, effective, strict=strict, observer=observer
-    )
-    if not supervisor.pending:
-        supervisor.finish()
-        return supervisor.results, supervisor.failures
+    registry = supervisor.registry
+    cell_timeout = supervisor.policy.cell_timeout
 
     def _fallback(executor: Optional[ProcessPoolExecutor], exc: BaseException):
         warnings.warn(
@@ -955,14 +904,9 @@ def _execute_process(
         )
         registry.counter("runner.pool_fallback").add()
         _terminate_executor(executor)
-        remaining = [
-            request
-            for request in supervisor.pending
-            if request not in supervisor.results
-            and request not in supervisor.failures
-        ]
-        _serial_completion(supervisor, remaining)
-        return supervisor.results, supervisor.failures
+        _execute_serial(
+            supervisor, cancel=cancel, manifest_extra={"pool_fallback": True}
+        )
 
     batches = _batches_by_trace(supervisor.pending)
     workers = min(jobs, len(batches))
@@ -976,7 +920,7 @@ def _execute_process(
             executor = _make_executor(workers, registry.enabled)
             for batch in batches:
                 future = executor.submit(
-                    _run_batch_outcomes, batch, effective.cell_timeout
+                    _run_batch_outcomes, batch, cell_timeout
                 )
                 in_flight[future] = list(batch)
         except _POOL_START_ERRORS as exc:
@@ -1051,7 +995,7 @@ def _execute_process(
                 try:
                     for batch in _batches_by_trace(due):
                         future = executor.submit(
-                            _run_batch_outcomes, batch, effective.cell_timeout
+                            _run_batch_outcomes, batch, cell_timeout
                         )
                         in_flight[future] = list(batch)
                         submitted.update(batch)
@@ -1102,14 +1046,14 @@ def _execute_process(
         executor = None
         raise
     finally:
-        supervisor.finish()
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
-    return supervisor.results, supervisor.failures
 
 
-#: executor backends selectable via the CLI's ``--jobs`` flag
-BACKENDS: Dict[str, Callable[..., _ExecuteResult]] = {
+#: executor backends selectable via the CLI's ``--jobs`` flag; each is
+#: called as ``backend(supervisor, jobs, cancel)`` and reports every
+#: cell outcome through the supervisor
+BACKENDS: Dict[str, Callable[..., None]] = {
     "serial": _execute_serial,
     "process": _execute_process,
 }
@@ -1172,23 +1116,27 @@ class RunPlan:
         """Run every unique cell through *backend*; returns the full
         request → report mapping.
 
+        Without a *policy* execution is strict — a zero-retry
+        :class:`ExecutionPolicy` whose first failing cell raises
+        :class:`CellExecutionError` naming the cell, on either backend.
         With a *policy*, failing cells retry and quarantine instead of
         aborting: the mapping then omits quarantined cells, whose
         failure records land in ``self.failures``.
 
         With a *store* (any object with the
-        :class:`~repro.service.store.ResultStore` ``fetch``/``put_many``
+        :class:`~repro.service.store.ResultStore` ``fetch``/``put``
         contract), execution is **store-aware**: cells whose
         content key + trace key are already stored are served from it
         verbatim (no simulation, the stored report with its original
         provenance), only the misses execute through *backend*, and
-        every freshly computed report is persisted for the next
-        overlapping plan.  ``store_hits``/``store_misses`` record the
-        split.  An *observer* receives per-cell progress events —
-        see :data:`OBSERVER_EVENTS`.  A *cancel* predicate is polled
-        between cells (serial) or scheduling rounds (process): once
-        true, execution stops cooperatively and the mapping holds only
-        the cells finished so far."""
+        each freshly computed report is persisted as its cell
+        completes — so a later failure or cancellation keeps every
+        cell finished before it.  ``store_hits``/``store_misses``
+        record the split.  An *observer* receives per-cell progress
+        events — see :data:`OBSERVER_EVENTS`.  A *cancel* predicate is
+        polled between cells (serial) or scheduling rounds (process):
+        once true, execution stops cooperatively and the mapping holds
+        only the cells finished so far."""
         try:
             execute = BACKENDS[backend]
         except KeyError:
@@ -1205,14 +1153,21 @@ class RunPlan:
             pending = [request for request in pending if request not in served]
         self.store_hits = len(served)
         self.store_misses = len(pending)
-        results, failures = execute(
-            pending, jobs, policy, observer=observer, cancel=cancel
+        strict = policy is None
+        supervisor = _PlanSupervisor(
+            pending,
+            ExecutionPolicy(max_retries=0) if strict else policy,
+            strict=strict,
+            observer=observer,
+            store=store,
         )
-        if store is not None and results:
-            store.put_many(results)
-        self.failures = failures
+        try:
+            execute(supervisor, jobs, cancel)
+        finally:
+            supervisor.finish()
+        self.failures = supervisor.failures
         merged = dict(served)
-        merged.update(results)
+        merged.update(supervisor.results)
         return merged
 
 

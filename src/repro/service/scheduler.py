@@ -388,11 +388,6 @@ class JobScheduler:
         def observer(event: str, request: RunRequest, payload: Any) -> None:
             source = _SOURCES.get(event, event)
             sources[request] = source
-            if event == "completed":
-                # persist incrementally: a crash after this cell keeps
-                # its result, which is what makes restart recovery
-                # re-simulate nothing that already finished
-                self.store.put(request, payload)
             fields: Dict[str, Any] = {
                 "job_id": job.id,
                 "cell": cell_key(request),

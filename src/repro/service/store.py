@@ -42,7 +42,7 @@ import os
 import sqlite3
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from repro.harness.checkpoint import (
     cell_key,
@@ -54,7 +54,6 @@ from repro.metrics.report import SimulationReport
 from repro.telemetry.core import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.harness.checkpoint import CheckpointJournal
     from repro.harness.runner import RunRequest
 
 #: store schema stamp (bump on any table change)
@@ -90,9 +89,10 @@ class ResultStore:
 
     One instance wraps one SQLite database file (created on demand)
     and is safe to share across threads; separate processes open their
-    own instances on the same path.  ``fetch``/``put_many`` are the
-    plan-level contract :meth:`repro.harness.runner.RunPlan.execute`
-    drives when given a store.
+    own instances on the same path.  ``fetch``/``put`` are the
+    contract :meth:`repro.harness.runner.RunPlan.execute` drives when
+    given a store: one ``fetch`` of the whole plan, then one ``put``
+    per cell as it completes.
     """
 
     def __init__(self, path: str) -> None:
@@ -193,14 +193,6 @@ class ResultStore:
             if report is not None:
                 found[request] = report
         return found
-
-    def put_many(
-        self, results: Mapping["RunRequest", SimulationReport]
-    ) -> int:
-        """Store every completed cell; returns the inserted count."""
-        return sum(
-            1 for request, report in results.items() if self.put(request, report)
-        )
 
     # -- maintenance ---------------------------------------------------
 
@@ -328,43 +320,6 @@ class ResultStore:
             "removed": len(corrupt) if fix else 0,
             "ok": not corrupt,
         }
-
-    def import_journal(self, journal: "CheckpointJournal") -> int:
-        """Promote a per-run checkpoint journal into the store.
-
-        Every well-formed journal entry becomes a store row under the
-        same (cell key, trace key) address the journal recorded;
-        returns the number of newly inserted cells.  The migration
-        path from PR 4 checkpoint directories to the shared store."""
-        registry = get_registry()
-        inserted = 0
-        now = time.time()
-        for key, entry in journal.load().items():
-            payload_text = json.dumps(entry["report"], sort_keys=True)
-            with self._lock:
-                cursor = self._conn.execute(
-                    "INSERT OR IGNORE INTO results "
-                    "(cell_key, trace_key, config_label, program, schema, "
-                    " payload, payload_sha, created_s, last_hit_s, hits) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, 0)",
-                    (
-                        key,
-                        json.dumps(entry.get("trace_key", [])),
-                        entry.get("config", {}).get("label", ""),
-                        entry.get("program", ""),
-                        STORE_SCHEMA,
-                        payload_text,
-                        payload_digest(payload_text),
-                        now,
-                        now,
-                    ),
-                )
-                self._conn.commit()
-                if cursor.rowcount == 1:
-                    inserted += 1
-        if inserted:
-            registry.counter("store.puts").add(inserted)
-        return inserted
 
     def close(self) -> None:
         """Close the connection (safe to call repeatedly)."""

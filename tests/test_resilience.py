@@ -300,7 +300,9 @@ class TestPoolSupervision:
         assert registry.counter("runner.pool_rebuilds").value >= 1
         assert registry.counter("runner.retries").value >= 1
 
-    def test_process_strict_mode_still_names_the_cell(self):
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_process_strict_mode_still_names_the_cell(self, backend):
+        # strict (no policy) fails the same way on both backends
         bad = RunRequest(
             config=ArchitectureConfig(frontend="btb", entries=32, cache_kb=8),
             program="li",
@@ -309,8 +311,9 @@ class TestPoolSupervision:
         )
         plan = RunPlan([bad])
         with pytest.raises(CellExecutionError) as excinfo:
-            plan.execute(backend="process", jobs=2)
+            plan.execute(backend=backend, jobs=2)
         assert "program='li'" in str(excinfo.value)
+        assert excinfo.value.error_type == "ValueError"
 
     def test_process_quarantine_matches_serial(self, tmp_path, monkeypatch):
         # identical resilience semantics across backends: the same

@@ -34,6 +34,7 @@ from repro.service.protocol import (
 )
 from repro.service.scheduler import JobScheduler
 from repro.service.store import ResultStore
+from repro.telemetry.core import Registry, use
 
 #: trace length for service tests — tiny cells, the point is plumbing
 TINY = 2_000
@@ -180,6 +181,15 @@ class TestScheduler:
         assert counters["shard_count"] >= 1
         sources = [cell["source"] for cell in job.result["cells"]]
         assert sources == ["computed", "computed"]
+
+    def test_fresh_job_writes_each_cell_once(self, scheduler):
+        requests = [_request(entries=entries) for entries in (16, 32)]
+        with use(Registry(enabled=True)) as registry:
+            job = scheduler.submit(_cells_payload(requests))
+            _wait(job)
+        assert job.state is JobState.COMPLETED
+        assert registry.counters["store.puts"] == 2
+        assert registry.counters.get("store.dedup_skips", 0) == 0
 
     def test_second_job_served_from_store(self, scheduler):
         requests = [_request(entries=entries) for entries in (16, 32)]

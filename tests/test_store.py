@@ -3,10 +3,9 @@
 Covers the SQLite persistence layer on its own: put/get round trips
 that preserve checkpoint-serialised bytes, first-write-wins dedup,
 checksummed payloads with lazy corrupt eviction, ``stats`` / ``gc`` /
-``verify`` administration, promotion of a PR 4 checkpoint journal
-into the store, store-aware :class:`~repro.harness.runner.RunPlan`
-execution (hit/miss counters, observer events), and the ``store``
-CLI subcommand.
+``verify`` administration, store-aware
+:class:`~repro.harness.runner.RunPlan` execution (hit/miss counters,
+observer events, per-cell writes), and the ``store`` CLI subcommand.
 """
 
 from __future__ import annotations
@@ -14,17 +13,21 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+from dataclasses import replace
 
 import pytest
 
-from repro.harness.checkpoint import (
-    CheckpointJournal,
-    cell_key,
-    report_to_dict,
-)
+from repro.harness.checkpoint import cell_key, report_to_dict
 from repro.harness.cli import main as cli_main
 from repro.harness.config import ArchitectureConfig
-from repro.harness.runner import OBSERVER_EVENTS, RunPlan, RunRequest, run_request
+from repro.harness.runner import (
+    OBSERVER_EVENTS,
+    CellExecutionError,
+    ExecutionPolicy,
+    RunPlan,
+    RunRequest,
+    run_request,
+)
 from repro.service.store import DEFAULT_STORE_NAME, STORE_SCHEMA, ResultStore
 from repro.telemetry.core import Registry, use
 
@@ -82,11 +85,11 @@ class TestRoundTrip:
         for request in requests:
             assert store.get(request).label == request.config.label()
 
-    def test_fetch_and_put_many(self, store):
+    def test_fetch_and_put(self, store):
         requests = [_request(entries=entries) for entries in (16, 32)]
-        reports = {request: run_request(request) for request in requests}
         assert store.fetch(requests) == {}
-        assert store.put_many(reports) == 2
+        for request in requests:
+            assert store.put(request, run_request(request))
         fetched = store.fetch(requests + [_request(entries=128)])
         assert set(fetched) == set(requests)
 
@@ -227,21 +230,6 @@ class TestTelemetryAndConcurrency:
         assert store.stats()["entries"] == 1
 
 
-class TestJournalPromotion:
-    def test_import_journal(self, store, tmp_path):
-        """A PR 4 per-run checkpoint journal promotes into the store."""
-        request = _request()
-        report = run_request(request)
-        journal = CheckpointJournal(str(tmp_path / "ckpt"))
-        journal.append(request, report)
-        journal.close()
-        assert store.import_journal(journal) == 1
-        fetched = store.get(request)
-        assert report_to_dict(fetched) == report_to_dict(report)
-        # second import is a no-op (dedup)
-        assert store.import_journal(journal) == 0
-
-
 class TestStoreAwareExecution:
     def test_plan_execute_hits_and_misses(self, store):
         requests = [_request(entries=entries) for entries in (16, 32)]
@@ -261,6 +249,22 @@ class TestStoreAwareExecution:
         assert kinds.count("store-hit") == 2
         assert kinds.count("completed") == 1
         assert set(kinds) <= set(OBSERVER_EVENTS)
+
+    def test_cells_before_a_strict_failure_stay_stored(self, store):
+        good = _request()
+        bad = replace(_request(entries=16), warmup=1.5)  # engine rejects
+        with pytest.raises(CellExecutionError):
+            RunPlan([good, bad]).execute(store=store)
+        assert set(store.fetch([good, bad])) == {good}
+
+    def test_resumed_cells_are_stored(self, store, tmp_path):
+        request = _request()
+        policy = ExecutionPolicy(checkpoint_dir=str(tmp_path / "ckpt"))
+        RunPlan([request]).execute(policy=policy)
+        resumed = RunPlan([request])
+        resumed.execute(policy=replace(policy, resume=True), store=store)
+        assert resumed.store_misses == 1
+        assert set(store.fetch([request])) == {request}
 
     def test_served_reports_equal_computed(self, store):
         request = _request()

@@ -18,7 +18,6 @@ from repro.harness.runner import (
     RunPlan,
     RunRequest,
     _batches_by_trace,
-    _run_batch,
     simulate,
 )
 from repro.harness.spec import ExperimentResult
@@ -337,7 +336,7 @@ class TestBackendRobustness:
             warmup=1.5,  # engine rejects warmup outside [0, 1)
         )
         with pytest.raises(CellExecutionError) as excinfo:
-            _run_batch([bad])
+            RunPlan([bad]).execute()
         message = str(excinfo.value)
         assert "program='li'" in message
         assert "seed=99" in message
@@ -372,6 +371,17 @@ class TestBackendRobustness:
         assert all(
             r.manifest.extra["pool_fallback"] for r in reports.values()
         )
+        # the fallback is the serial loop, so it honours cancel too
+        completed = []
+        with pytest.warns(RuntimeWarning, match="falling back to the serial"):
+            partial = _small_plan().execute(
+                backend="process",
+                jobs=2,
+                observer=lambda event, request, report: completed.append(request),
+                cancel=lambda: len(completed) >= 1,
+            )
+        assert len(partial) == 1
+        assert list(partial) == completed
 
 
 # ---------------------------------------------------------------------------
