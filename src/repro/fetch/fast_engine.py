@@ -30,9 +30,14 @@ classification pass:
    NLS-table / Steely–Sager) under the engine's one-block update
    delay; line-coupled predictor frames (NLS-cache, Johnson) keyed by
    their carrier frame's fill generation so an eviction retires state
-   without a scan; associative-BTB LRU stacks and coupled-BTB
-   counters replayed by a per-structure scalar walk shared across
-   every cache geometry.
+   without a scan.  Associative and coupled BTBs take three steps:
+   a compact LRU walk that yields only hit flags and skips the
+   operations of a same-tag run that cannot change state, entry
+   contents looked up vectorised from the last allocating write to
+   the word, and (coupled only) the 2-bit counters as a
+   :func:`~repro.predictors.kernels.counter_scan` over (word,
+   residency generation) groups.  None of it depends on the cache
+   geometry, and the contents are shared by every BTB size.
 4. **gshare PHT** — per-conditional history registers from shifted
    masked adds; 2-bit counters replayed exactly with a segmented
    clamp-add scan (:func:`~repro.predictors.kernels.counter_scan`).
@@ -281,6 +286,42 @@ def _assoc_cache_walk(
             row[w] = t
         way_out[i] = w
     return hit, way_out
+
+
+def _btb_lru_walk(
+    sets: list,
+    tags: list,
+    allocates: list,
+    n_sets: int,
+    assoc: int,
+    splits: list,
+) -> list:
+    """Hit flags of a stream of BTB LRU operations.
+
+    One MRU-first tag list per set: a hit moves its tag to the front;
+    a miss inserts the tag at the front (evicting the LRU tag of a
+    full set) only if the operation allocates.  The sets start empty
+    and are cleared at every position in *splits* (flush epochs).
+    """
+    hits: list = []
+    record = hits.append
+    bounds = [0] + splits + [len(sets)]
+    for low, high in zip(bounds, bounds[1:]):
+        rows = [[] for _ in range(n_sets)]
+        for s, t, a in zip(sets[low:high], tags[low:high], allocates[low:high]):
+            row = rows[s]
+            if t in row:
+                record(True)
+                if row[0] != t:
+                    row.remove(t)
+                    row.insert(0, t)
+            else:
+                record(False)
+                if a:
+                    row.insert(0, t)
+                    if len(row) > assoc:
+                        row.pop()
+    return hits
 
 
 class _IcacheReplay:
@@ -790,12 +831,12 @@ class TraceReplayContext:
                 return self._btb_direct_replay(
                     config.entries, config.btb_allocate, interval
                 )
-            return self._btb_walk(
+            return self._btb_assoc_replay(
                 False, config.entries, config.btb_assoc,
                 config.btb_allocate, interval,
             )
         if frontend == "coupled-btb":
-            return self._btb_walk(
+            return self._btb_assoc_replay(
                 True, config.entries, config.btb_assoc, None, interval
             )
         geometry = config.geometry
@@ -830,11 +871,7 @@ class TraceReplayContext:
             set_bits = n_btb_sets.bit_length() - 1
             btb_set = br.word & (n_btb_sets - 1)
             btb_tag = br.word >> set_bits
-            if allocate == "all":
-                write_mask = br.taken | (br.target != 0)
-            else:
-                write_mask = br.taken
-            writers = np.nonzero(write_mask)[0]
+            writers = np.nonzero(self._btb_allocates(allocate, interval))[0]
             mech = np.zeros(nb, dtype=np.int64)
             match = np.zeros(nb, dtype=bool)
             if len(writers):
@@ -858,108 +895,139 @@ class TraceReplayContext:
 
         return self._get(key, _build)
 
-    def _btb_walk(self, coupled, entries, assoc, allocate, interval):
-        """Exact scalar replay of an associative (or coupled) BTB.
+    def _btb_allocates(self, allocate, interval) -> np.ndarray:
+        """Per break, does its deferred BTB update allocate an entry?
+        Taken branches always do; under ``"all"`` so does a not-taken
+        branch with a decode-computed target."""
+        br = self.breaks(interval)
+        if allocate == "all":
+            return br.taken | (br.target != 0)
+        return br.taken
 
-        LRU stacks and the coupled 2-bit counters make lookups
-        order-sensitive, so this walks breaks only (not every event)
-        with the reference's one-block ``pending`` hand-off: the write
-        from break *i* applies at event *i + 1* unless a flush lands
-        first — and a flush erases an applied write anyway, so each
-        flush simply clears the sets and drops the pending write.
-        """
-        key = ("fe-btb-loop", coupled, entries, assoc, allocate or "", interval)
+    def _btb_word_index(self, interval):
+        """Every break keyed by (epoch, word address): one sort shared
+        by the entry-content and coupled-counter queries of every
+        associative BTB geometry."""
 
         def _build():
             br = self.breaks(interval)
-            _, flush_events = self.flush(interval)
-            nb = br.n
+            space = int(br.word.max()) + 1
+            return kernels.LastWriteIndex(br.epoch * space + br.word, br.events)
+
+        return self._get(("btbwords", interval), _build)
+
+    def _btb_sources(self, allocate, interval) -> np.ndarray:
+        """Per break, the last allocating break to the same word in the
+        same epoch strictly before it, or -1.  A lookup that hits finds
+        the entry that write last filled (every write to a resident
+        tag updates it, and a re-insertion is itself such a write), so
+        its kind and target answer the lookup for every geometry."""
+
+        def _build():
+            index = self._btb_word_index(interval)
+            latest = index.filtered_last(self._btb_allocates(allocate, interval))
+            before = np.full(index.n, -1, dtype=np.int64)
+            same = index.sorted_keys[1:] == index.sorted_keys[:-1]
+            before[1:][same] = latest[:-1][same]
+            source = np.empty(index.n, dtype=np.int64)
+            source[index.order] = before
+            return source
+
+        return self._get(("btbsource", allocate, interval), _build)
+
+    def _btb_hits(self, entries, assoc, allocate, interval) -> np.ndarray:
+        """Per break, does its lookup hit in an associative LRU BTB?
+
+        Each break is one LRU operation on its (epoch, set, tag): the
+        lookup moves a hit to MRU and the deferred update, which
+        applies before anything else touches the BTB (a flush between
+        them drops it but also opens a new epoch), inserts the tag at
+        MRU on a miss if the break allocates.  Within one (epoch, set)
+        stream, a *run* of consecutive operations on one tag changes
+        state only at its head and at its first allocating operation,
+        so only those are walked; every other operation hits iff the
+        head hit or an earlier operation of the run allocated.
+        """
+
+        def _build():
+            br = self.breaks(interval)
             n_sets = entries // assoc
-            set_bits = n_sets.bit_length() - 1
-            words = br.word.tolist()
-            kinds = br.kind.tolist()
-            takens = br.taken.tolist()
-            targets = br.target.tolist()
-            events = br.events.tolist()
-            mech_of = _KIND_TO_MECH.tolist()
-            mech = np.zeros(nb, dtype=np.int64)
-            match = np.zeros(nb, dtype=bool)
-            implied = np.zeros(nb, dtype=bool) if coupled else None
-            sets = [[] for _ in range(n_sets)]
-            pending = None
-            flush_cursor = 0
-            n_flushes = len(flush_events)
+            btb_set = br.word & (n_sets - 1)
+            tag = br.word >> (n_sets.bit_length() - 1)
+            allocates = self._btb_allocates(allocate, interval)
+            sets = kernels.LastWriteIndex(br.epoch * n_sets + btb_set, br.events)
+            previous = sets.previous_in_key()
+            head = (previous < 0) | (tag[np.maximum(previous, 0)] != tag)
+            run_head = np.empty(br.n, dtype=np.int64)
+            run_head[sets.order] = sets.filtered_last(head)
+            last_allocating = np.empty(br.n, dtype=np.int64)
+            last_allocating[sets.order] = sets.filtered_last(allocates)
+            earlier = np.where(
+                previous >= 0, last_allocating[np.maximum(previous, 0)], -1
+            )
+            allocated = earlier >= run_head
+            walked = np.nonzero(head | (allocates & ~allocated))[0]
+            # a flush opens a fresh epoch, whose first operations are
+            # heads: split the walk where the walked epoch changes
+            splits = np.nonzero(np.diff(br.epoch[walked]))[0] + 1
+            hit = np.zeros(br.n, dtype=bool)
+            hit[walked] = _btb_lru_walk(
+                btb_set[walked].tolist(),
+                tag[walked].tolist(),
+                allocates[walked].tolist(),
+                n_sets,
+                assoc,
+                splits.tolist(),
+            )
+            return hit[run_head] | allocated
 
-            # entry layout: [tag, target, kind, counter]
-            def _record_taken(row, tag, kind, target):
-                for position, ent in enumerate(row):
-                    if ent[0] == tag:
-                        ent[1] = target
-                        ent[2] = kind
-                        if position:
-                            del row[position]
-                            row.insert(0, ent)
-                        if coupled:
-                            ent[3] = 2 if ent[3] is None else min(3, ent[3] + 1)
-                        return
-                ent = [tag, target, kind, 2 if coupled else None]
-                row.insert(0, ent)
-                if len(row) > assoc:
-                    row.pop()
+        return self._get(("btbhits", entries, assoc, allocate, interval), _build)
 
-            def _apply(word, kind, taken, target):
-                row = sets[word & (n_sets - 1)]
-                tag = word >> set_bits
-                if taken:
-                    _record_taken(row, tag, kind, target)
-                elif coupled:
-                    for ent in row:
-                        if ent[0] == tag:
-                            if ent[3] is not None and ent[3] > 0:
-                                ent[3] -= 1
-                            break
-                elif allocate == "all" and target:
-                    _record_taken(row, tag, kind, target)
+    def _btb_assoc_replay(self, coupled, entries, assoc, allocate, interval):
+        """Exact replay of an associative (or coupled) LRU BTB: the
+        filtered LRU walk for hits, entry contents from the last
+        allocating write to the word, and — for the coupled BTB, which
+        allocates on taken only — its 2-bit counters as a counter scan
+        over (word, residency generation) groups."""
+        if coupled:
+            allocate = "taken-only"
+        key = ("fe-btb-assoc", coupled, entries, assoc, allocate, interval)
 
-            for j in range(nb):
-                event = events[j]
-                if flush_cursor < n_flushes and flush_events[flush_cursor] <= event:
-                    while (
-                        flush_cursor < n_flushes
-                        and flush_events[flush_cursor] <= event
-                    ):
-                        flush_cursor += 1
-                    sets = [[] for _ in range(n_sets)]
-                    pending = None
-                if pending is not None:
-                    _apply(*pending)
-                    pending = None
-                word = words[j]
-                row = sets[word & (n_sets - 1)]
-                tag = word >> set_bits
-                for position, ent in enumerate(row):
-                    if ent[0] == tag:
-                        if position:
-                            del row[position]
-                            row.insert(0, ent)
-                        mech[j] = mech_of[ent[2]]
-                        match[j] = ent[1] == targets[j]
-                        if coupled:
-                            implied[j] = (
-                                ent[2] == _CONDITIONAL
-                                and ent[3] is not None
-                                and ent[3] >= 2
-                            )
-                        break
-                pending = (word, kinds[j], takens[j], targets[j])
-            if coupled:
-                # the coupled BTB's match cause distinguishes a missed
-                # lookup (frontend-miss) from a stale stored target
-                cause = np.where(
-                    mech == 0, _C_FRONTEND_MISS, _C_BTB_WRONG_TARGET
+        def _build():
+            br = self.breaks(interval)
+            nb = br.n
+            if nb == 0:
+                empty = np.zeros(0, dtype=np.int64)
+                return _FrontendReplay(
+                    empty, empty.astype(bool), empty,
+                    empty.astype(bool) if coupled else None,
                 )
-            else:
+            hit = self._btb_hits(entries, assoc, allocate, interval)
+            source = np.maximum(self._btb_sources(allocate, interval), 0)
+            mech = np.where(hit, _KIND_TO_MECH[br.kind[source]], 0)
+            match = hit & (br.target[source] == br.target)
+            if not coupled:
                 cause = np.full(nb, _C_BTB_WRONG_TARGET, dtype=np.int64)
+                return _FrontendReplay(mech, match, cause, None)
+            # a group starts at each insertion (a taken miss) of a word
+            # in an epoch; the insertion's +1 from initial 1 gives the
+            # weakly-taken 2, then taken hits count up and not-taken
+            # hits count down.  Operations after an eviction miss, so
+            # their counter values are never read.
+            index = self._btb_word_index(interval)
+            order = index.order
+            boundary = (~hit & br.taken)[order]
+            boundary[0] = True
+            boundary[1:] |= index.sorted_keys[1:] != index.sorted_keys[:-1]
+            before_sorted, _ = kernels.counter_scan(
+                np.cumsum(boundary), br.taken[order], 1, 3
+            )
+            counter = np.empty(nb, dtype=np.int64)
+            counter[order] = before_sorted
+            implied = hit & (br.kind[source] == _CONDITIONAL) & (counter >= 2)
+            # the coupled BTB's match cause distinguishes a missed
+            # lookup (frontend-miss) from a stale stored target
+            cause = np.where(mech == 0, _C_FRONTEND_MISS, _C_BTB_WRONG_TARGET)
             return _FrontendReplay(mech, match, cause, implied)
 
         return self._get(key, _build)
@@ -1329,11 +1397,7 @@ class TraceReplayContext:
             if len(variants) < 2:
                 continue
             br = self.breaks(interval)
-            if allocate == "all":
-                write_mask = br.taken | (br.target != 0)
-            else:
-                write_mask = br.taken
-            writers = np.nonzero(write_mask)[0]
+            writers = np.nonzero(self._btb_allocates(allocate, interval))[0]
             if not len(writers):
                 continue
             stacked = np.stack(

@@ -26,6 +26,7 @@ computed one.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -64,7 +65,22 @@ def cell_key(request: "RunRequest") -> str:
 
     Canonical JSON over the full config dataclass plus every request
     knob — the same identity :class:`~repro.harness.runner.RunPlan`
-    dedups on, rendered hashable across processes and sessions."""
+    dedups on, rendered hashable across processes and sessions.
+
+    Memoised for recently seen requests: the store, the journal and
+    the service ask for the same cell's key several times.  The memo
+    is keyed by the request *and* the types of its fields, because
+    equal values of different types (``1`` and ``1.0``) compare equal
+    but render different JSON, hence different keys."""
+    signature = tuple(map(type, vars(request.config).values())) + tuple(
+        map(type, vars(request).values())
+    )
+    return _cell_key(request, signature)
+
+
+@functools.lru_cache(maxsize=4096)
+def _cell_key(request: "RunRequest", signature: tuple) -> str:
+    """The uncached :func:`cell_key` (*signature* only keys the memo)."""
     payload = {
         "config": asdict(request.config),
         "program": request.program,

@@ -59,7 +59,9 @@ managed: ``--checkpoint-dir DIR`` journals every completed cell so
 ``--cell-timeout`` bound each cell's attempts and wall time; a cell
 that still fails is *quarantined* — the sweep finishes, a
 ``FAILURES.json`` manifest names the cell, and the exit status is
-non-zero.  ``--faults FILE`` arms the deterministic fault-injection
+non-zero.  Without them a run is strict: its first failing cell stops
+it with one ``error:`` line on stderr naming the cell's config,
+program, seed and error type, and exit status 1.  ``--faults FILE`` arms the deterministic fault-injection
 plan in :mod:`repro.testing.faults` (used by the CI chaos-smoke job).
 
 The service flags (docs/SERVICE.md) wire the harness to the
@@ -96,6 +98,7 @@ from typing import Callable, List, Optional
 from repro.harness.config import ENGINES, FRONTENDS
 from repro.harness.experiments import EXPERIMENTS, SPECS, ExperimentResult
 from repro.harness.runner import (
+    CellExecutionError,
     ExecutionPolicy,
     RunPlan,
     resolve_worker_count,
@@ -1267,6 +1270,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ[FAULTS_ENV_VAR] = args.faults
     try:
         return _with_telemetry(args, _dispatch)
+    except CellExecutionError as error:
+        # a strict run stops at its first failing cell: one line naming
+        # the cell (config, program, seed) and the error type, exit 1
+        print("error: " + " ".join(str(error).split()), file=sys.stderr)
+        return 1
     finally:
         if args.faults is not None:
             if previous_faults is None:

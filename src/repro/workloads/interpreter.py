@@ -5,14 +5,24 @@ maintaining a call stack, and emits one block-compressed trace event
 per executed block.  All control transfers are *consistent* — the next
 event always starts where the previous one's break actually went —
 which :meth:`repro.workloads.trace.Trace.validate` can verify.
+
+The program is flattened once into per-block parallel lists (address,
+instruction count, branch kind, an integer site code, global successor
+ids and the site's parameters), so the execution loop is one integer
+dispatch per block with no attribute lookups or type tests; it records
+only the executed block ids, outcomes and targets, and the trace
+columns are gathered from the block lists at the end.  Per-site state
+(a sticky conditional's last outcome, a counted loop's remaining
+trips, an indirect jump's last target) is keyed by site identity, so
+blocks that share one site object share its state.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.isa.branches import BranchKind
+from repro.isa.geometry import INSTRUCTION_BYTES
 from repro.workloads.program import (
     CallSite,
     ConditionalSite,
@@ -23,6 +33,19 @@ from repro.workloads.program import (
     UnconditionalSite,
 )
 from repro.workloads.trace import Trace
+
+# site codes of the flattened program; the conditional codes come
+# first so one comparison separates them from the rest
+_SITE_COND = 0  # i.i.d. conditional
+_SITE_COND_STICKY = 1  # conditional that may repeat its last outcome
+_SITE_COND_CORRELATED = 2  # conditional hashed from global history
+_SITE_LOOP = 3  # loop branch with a geometric trip count
+_SITE_LOOP_FIXED = 4  # counted loop branch
+_SITE_CALL = 5
+_SITE_RETURN = 6
+_SITE_JUMP = 7  # direct unconditional jump
+_SITE_INDIRECT = 8
+_SITE_INVALID = 9  # raises the block's stored exception when executed
 
 
 class _IndirectChooser:
@@ -46,6 +69,107 @@ class _IndirectChooser:
         return self.targets[-1]
 
 
+def _local_block(blocks, base: int, index: int):
+    """Global id and address of block *index* of a procedure whose
+    first block has global id *base* (Python list indexing rules)."""
+    address = blocks[index].address
+    return base + (index if index >= 0 else index + len(blocks)), address
+
+
+def _decode(site, blocks, base: int, procedures, bases) -> tuple:
+    """(code, taken successor id, taken target, param, extra) of one
+    site; raises the error its execution raised for a malformed one."""
+    if isinstance(site, ConditionalSite):
+        successor, target = _local_block(blocks, base, site.target_block)
+        if site.correlation_bits:
+            history = ((1 << site.correlation_bits) - 1, site.salt)
+            threshold = site.taken_prob * 65536.0
+            return _SITE_COND_CORRELATED, successor, target, threshold, history
+        if site.sticky:
+            return _SITE_COND_STICKY, successor, target, site.taken_prob, site.sticky
+        return _SITE_COND, successor, target, site.taken_prob, None
+    if isinstance(site, LoopSite):
+        successor, target = _local_block(blocks, base, site.head_block)
+        if site.fixed_trips is not None:
+            return _SITE_LOOP_FIXED, successor, target, site.fixed_trips, None
+        return _SITE_LOOP, successor, target, site.continue_prob, None
+    if isinstance(site, CallSite):
+        target = procedures[site.callee].entry
+        return _SITE_CALL, bases[site.callee], target, None, None
+    if isinstance(site, ReturnSite):
+        return _SITE_RETURN, None, 0, None, None
+    if isinstance(site, UnconditionalSite):
+        successor, target = _local_block(blocks, base, site.target_block)
+        return _SITE_JUMP, successor, target, None, None
+    if isinstance(site, IndirectSite):
+        return _SITE_INDIRECT, None, 0, _IndirectChooser(site), None
+    raise TypeError(f"unknown site type {type(site).__name__}")
+
+
+#: site codes that keep per-site state
+_STATEFUL = (_SITE_COND_STICKY, _SITE_LOOP_FIXED, _SITE_INDIRECT)
+
+
+def _flatten(program: SyntheticProgram):
+    """Per-block parallel columns of *program*, blocks numbered in
+    procedure order: address, instruction count, kind, fall-through
+    id, state slot (-1: stateless), procedure's first id, then the
+    :func:`_decode` fields.  Also returns the stored errors, the entry
+    block id and the number of state slots.
+
+    One extra *missing* block (the last id) is the fall-through of a
+    procedure's final block and the entry of an empty or absent main,
+    so a malformed program fails with the ``IndexError`` the nested
+    lookup raised, when (and only if) that path executes.  A block
+    whose site or shape is invalid gets ``_SITE_INVALID`` and raises
+    its stored error when it executes, as when the checks ran per
+    executed block.
+    """
+    procedures = program.procedures
+    bases = [0]
+    for procedure in procedures:
+        bases.append(bases[-1] + len(procedure.blocks))
+    missing = bases.pop()
+    errors = {missing: IndexError("list index out of range")}
+    slots: dict = {}
+    rows = []
+    for base, procedure in zip(bases, procedures):
+        blocks = procedure.blocks
+        for index, block in enumerate(blocks):
+            site = block.site
+            try:
+                decoded = _decode(site, blocks, base, procedures, bases)
+                # the checks Trace.append makes on every event
+                if block.n_instructions < 1:
+                    raise ValueError(
+                        "a block must contain at least one instruction: "
+                        f"{block.n_instructions}"
+                    )
+                if block.address % INSTRUCTION_BYTES:
+                    raise ValueError(
+                        f"block start {block.address:#x} is not "
+                        "instruction-aligned"
+                    )
+            except (IndexError, TypeError, ValueError) as error:
+                errors[base + index] = error
+                decoded = (_SITE_INVALID, None, 0, None, None)
+            slot = -1
+            if decoded[0] in _STATEFUL:
+                slot = slots.setdefault(id(site), len(slots))
+            fall = base + index + 1 if index + 1 < len(blocks) else missing
+            kind = int(getattr(site, "kind", 0))
+            rows.append(
+                (block.address, block.n_instructions, kind, fall, slot, base)
+                + decoded
+            )
+    rows.append((0, 0, 0, None, -1, 0, _SITE_INVALID, None, 0, None, None))
+    try:
+        entry = bases[program.main] if procedures[program.main].blocks else missing
+    except IndexError:
+        entry = missing
+    return [list(column) for column in zip(*rows)], errors, entry, len(slots)
+
+
 def execute(
     program: SyntheticProgram,
     instructions: int,
@@ -63,137 +187,117 @@ def execute(
     if instructions < 1:
         raise ValueError("instruction budget must be positive")
     rng = random.Random(seed)
-    trace = Trace(name if name is not None else program.name)
-    procedures = program.procedures
-    # resume points: (procedure index, block index)
-    stack: List[Tuple[int, int]] = []
-    choosers: dict = {}
-
-    proc_index = program.main
-    block_index = 0
-    emitted = 0
-    loop_counters: dict = {}
-    last_indirect: dict = {}
-    last_outcome: dict = {}
-    ghist = 0  # global history of conditional outcomes (1 = taken)
+    random_ = rng.random
+    columns, errors, block, n_slots = _flatten(program)
+    (
+        address, count, kinds, fall_next, slot_of, proc_base,
+        code, taken_next, target_of, param, extra,
+    ) = columns
+    missing = len(address) - 1
+    #: per-site state: sticky outcome, remaining trips or last target
+    state: list = [None] * n_slots
     indirect_repeat = (
         profile_indirect_repeat if profile_indirect_repeat is not None else 0.60
     )
+    # resume points (global block ids)
+    stack: List[int] = []
+    push = stack.append
+    pop = stack.pop
+    # executed block ids, with their outcomes and taken targets
+    ids: List[int] = []
+    takens: List[bool] = []
+    targets: List[int] = []
+    emit = ids.append
+    emit_taken = takens.append
+    emit_target = targets.append
+    emitted = 0
+    ghist = 0  # global history of conditional outcomes (1 = taken)
 
     while emitted < instructions:
-        procedure = procedures[proc_index]
-        block = procedure.blocks[block_index]
-        site = block.site
-        blocks = procedure.blocks
-
-        if isinstance(site, ConditionalSite):
-            kind = BranchKind.CONDITIONAL
-            target = blocks[site.target_block].address
-            if site.correlation_bits:
+        site = code[block]
+        if site <= _SITE_LOOP_FIXED:
+            if site == _SITE_COND:
+                taken = random_() < param[block]
+            elif site == _SITE_COND_STICKY:
+                slot = slot_of[block]
+                last = state[slot]
+                if last is not None and random_() < extra[block]:
+                    taken = last
+                else:
+                    taken = random_() < param[block]
+                state[slot] = taken
+            elif site == _SITE_COND_CORRELATED:
                 # outcome is a salted hash of the recent global
                 # conditional history: deterministic per history value,
                 # Bernoulli(taken_prob) across history values
-                window = ghist & ((1 << site.correlation_bits) - 1)
-                h = ((window ^ site.salt) * 0x9E3779B1) & 0xFFFFFFFF
-                taken = ((h >> 16) & 0xFFFF) < site.taken_prob * 65536.0
-            elif site.sticky:
-                site_key = id(site)
-                last = last_outcome.get(site_key)
-                if last is not None and rng.random() < site.sticky:
-                    taken = last
-                else:
-                    taken = rng.random() < site.taken_prob
-                last_outcome[site_key] = taken
+                mask, salt = extra[block]
+                h = (((ghist & mask) ^ salt) * 0x9E3779B1) & 0xFFFFFFFF
+                taken = ((h >> 16) & 0xFFFF) < param[block]
+            elif site == _SITE_LOOP:
+                taken = random_() < param[block]
             else:
-                taken = rng.random() < site.taken_prob
-            next_state = (
-                (proc_index, site.target_block)
-                if taken
-                else (proc_index, block_index + 1)
-            )
-        elif isinstance(site, LoopSite):
-            kind = BranchKind.CONDITIONAL
-            target = blocks[site.head_block].address
-            if site.fixed_trips is not None:
                 # counted loop: the branch executes fixed_trips times
                 # per loop entry (taken on all but the last)
-                site_key = id(site)
-                remaining = loop_counters.get(site_key)
+                slot = slot_of[block]
+                remaining = state[slot]
                 if remaining is None:
-                    remaining = site.fixed_trips
+                    remaining = param[block]
                 remaining -= 1
                 taken = remaining > 0
-                if taken:
-                    loop_counters[site_key] = remaining
-                else:
-                    loop_counters.pop(site_key, None)
-            else:
-                taken = rng.random() < site.continue_prob
-            next_state = (
-                (proc_index, site.head_block)
-                if taken
-                else (proc_index, block_index + 1)
-            )
-        elif isinstance(site, CallSite):
-            kind = BranchKind.CALL
-            target = procedures[site.callee].entry
-            taken = True
-            stack.append((proc_index, block_index + 1))
-            next_state = (site.callee, 0)
-        elif isinstance(site, ReturnSite):
-            kind = BranchKind.RETURN
-            taken = True
+                state[slot] = remaining if taken else None
+            ghist = ((ghist << 1) | taken) & 0xFFFF
+            emit(block)
+            emit_taken(taken)
+            emit_target(target_of[block])
+            emitted += count[block]
+            block = taken_next[block] if taken else fall_next[block]
+        elif site == _SITE_CALL:
+            push(fall_next[block])
+            emit(block)
+            emit_taken(True)
+            emit_target(target_of[block])
+            emitted += count[block]
+            block = taken_next[block]
+        elif site == _SITE_RETURN:
+            emit(block)
+            emit_taken(True)
             if not stack:
                 # main returned: emit the final event and stop
-                trace.append(
-                    start=block.address,
-                    count=block.n_instructions,
-                    kind=kind,
-                    taken=True,
-                    target=0,
-                )
+                emit_target(0)
                 break
-            resume_proc, resume_block = stack.pop()
-            target = procedures[resume_proc].blocks[resume_block].address
-            next_state = (resume_proc, resume_block)
-        elif isinstance(site, UnconditionalSite):
-            kind = BranchKind.UNCONDITIONAL
-            target = blocks[site.target_block].address
-            taken = True
-            next_state = (proc_index, site.target_block)
-        elif isinstance(site, IndirectSite):
-            kind = BranchKind.INDIRECT
-            chooser_key = id(site)
+            resume = pop()
+            if resume == missing:
+                raise errors[missing]
+            emit_target(address[resume])
+            emitted += count[block]
+            block = resume
+        elif site == _SITE_JUMP:
+            emit(block)
+            emit_taken(True)
+            emit_target(target_of[block])
+            emitted += count[block]
+            block = taken_next[block]
+        elif site == _SITE_INDIRECT:
             # sticky targets: real indirect jumps (virtual calls,
             # interpreter dispatch) repeat their previous destination
             # far more often than an i.i.d. draw would
-            last = last_indirect.get(chooser_key)
-            if last is not None and rng.random() < indirect_repeat:
-                chosen = last
-            else:
-                chooser = choosers.get(chooser_key)
-                if chooser is None:
-                    chooser = _IndirectChooser(site)
-                    choosers[chooser_key] = chooser
-                chosen = chooser.choose(rng)
-                last_indirect[chooser_key] = chosen
-            target = blocks[chosen].address
-            taken = True
-            next_state = (proc_index, chosen)
-        else:  # pragma: no cover - the site union is closed
-            raise TypeError(f"unknown site type {type(site).__name__}")
+            slot = slot_of[block]
+            chosen = state[slot]
+            if not (chosen is not None and random_() < indirect_repeat):
+                chosen = state[slot] = param[block].choose(rng)
+            chosen += proc_base[block]
+            emit(block)
+            emit_taken(True)
+            emit_target(address[chosen])
+            emitted += count[block]
+            block = chosen
+        else:
+            raise errors[block]
 
-        if kind == BranchKind.CONDITIONAL:
-            ghist = ((ghist << 1) | int(taken)) & 0xFFFF
-
-        trace.append(
-            start=block.address,
-            count=block.n_instructions,
-            kind=kind,
-            taken=taken,
-            target=target,
-        )
-        emitted += block.n_instructions
-        proc_index, block_index = next_state
-
+    trace = Trace(name if name is not None else program.name)
+    trace.starts = list(map(address.__getitem__, ids))
+    trace.counts = list(map(count.__getitem__, ids))
+    trace.kinds = list(map(kinds.__getitem__, ids))
+    trace.takens = takens
+    trace.targets = targets
     return trace

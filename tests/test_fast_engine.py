@@ -25,6 +25,8 @@ from repro.fetch.capability import (
 )
 from repro.fetch.engine import FetchEngine
 from repro.fetch.fast_engine import (
+    _C_FRONTEND_MISS,
+    _KIND_TO_MECH,
     FastEngine,
     TraceReplayContext,
     _assoc_cache_walk,
@@ -34,9 +36,12 @@ from repro.harness.config import ArchitectureConfig
 from repro.harness.export import _jsonable
 from repro.harness.runner import RunPlan, RunRequest, run_request
 from repro.harness.spec import ExperimentPlan, ExperimentResult, with_engine
+from repro.isa.branches import BranchKind
 from repro.predictors import kernels
+from repro.predictors.btb import BranchTargetBuffer, CoupledBTB
 from repro.telemetry.core import Registry, use
 from repro.workloads.corpus import generate_trace
+from repro.workloads.trace import Trace
 
 #: one representative configuration per supported front-end family —
 #: the matrix is closed over every paper configuration, including the
@@ -522,6 +527,148 @@ class TestFilteredCacheWalk:
         assert 0 < np.count_nonzero(repeats) < len(repeats)
         assert (len(flush_events) > 0) == (interval is not None)
         assert np.count_nonzero(~hit) > n_sets * assoc
+
+
+def _reference_btb_columns(context, coupled, entries, assoc, allocate, interval):
+    """Per-break (mech, match, implied) from the reference BTB classes,
+    driven the way the reference engine drives them: each break's
+    update applies one block late, and a flush drops it."""
+    br = context.breaks(interval)
+    _, flush_events = context.flush(interval)
+    if coupled:
+        btb = CoupledBTB(entries, assoc)
+    else:
+        btb = BranchTargetBuffer(entries, assoc, allocate)
+    mech = np.zeros(br.n, dtype=np.int64)
+    match = np.zeros(br.n, dtype=bool)
+    implied = np.zeros(br.n, dtype=bool)
+    pcs, kinds = br.pc.tolist(), br.kind.tolist()
+    takens, targets = br.taken.tolist(), br.target.tolist()
+    cursor = 0
+    pending = None
+    for j, event in enumerate(br.events.tolist()):
+        if cursor < len(flush_events) and flush_events[cursor] <= event:
+            while cursor < len(flush_events) and flush_events[cursor] <= event:
+                cursor += 1
+            btb.flush()
+            pending = None
+        if pending is not None:
+            pc, kind, taken, target = pending
+            if taken:
+                btb.record_taken(pc, kind, target)
+            else:
+                btb.record_not_taken(pc, kind, target)
+        entry = btb.lookup(pcs[j])
+        if entry is not None:
+            mech[j] = _KIND_TO_MECH[int(entry.kind)]
+            match[j] = entry.target == targets[j]
+            implied[j] = (
+                coupled
+                and entry.kind == BranchKind.CONDITIONAL
+                and entry.counter.taken
+            )
+        pending = (pcs[j], BranchKind(kinds[j]), takens[j], targets[j])
+    return mech, match, implied
+
+
+def _assert_btb_matches_reference(
+    context, coupled, entries, assoc, allocate, interval
+):
+    frontend = "coupled-btb" if coupled else "btb"
+    config = ArchitectureConfig(
+        frontend=frontend,
+        entries=entries,
+        btb_assoc=assoc,
+        btb_allocate=allocate,
+        flush_interval=interval,
+    )
+    replay = context.frontend_replay(config)
+    mech, match, implied = _reference_btb_columns(
+        context, coupled, entries, assoc, allocate, interval
+    )
+    assert np.array_equal(replay.mech, mech)
+    assert np.array_equal(replay.match, match)
+    if coupled:
+        assert np.array_equal(replay.implied, implied)
+        assert np.array_equal(replay.cause == _C_FRONTEND_MISS, mech == 0)
+    else:
+        assert replay.implied is None
+    return mech
+
+
+@pytest.fixture(scope="module", params=["gcc", "li"])
+def btb_context(request):
+    return TraceReplayContext(generate_trace(request.param, instructions=200_000))
+
+
+class TestAssociativeBTBReplay:
+    """The associative and coupled BTB replays (filtered LRU walk,
+    last-allocating-write contents, coupled counter scan) against the
+    reference :class:`BranchTargetBuffer` / :class:`CoupledBTB`."""
+
+    @pytest.mark.parametrize("interval", [None, 7_777])
+    @pytest.mark.parametrize("allocate", ["taken-only", "all"])
+    @pytest.mark.parametrize("assoc", [2, 4, 8])
+    def test_decoupled_matches_reference(
+        self, btb_context, assoc, allocate, interval
+    ):
+        mech = _assert_btb_matches_reference(
+            btb_context, False, 128, assoc, allocate, interval
+        )
+        # capacity pressure: some lookups hit and some miss
+        assert 0 < np.count_nonzero(mech) < len(mech)
+
+    @pytest.mark.parametrize("interval", [None, 7_777])
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    def test_coupled_matches_reference(self, btb_context, assoc, interval):
+        _assert_btb_matches_reference(
+            btb_context, True, 128, assoc, "taken-only", interval
+        )
+
+    @pytest.mark.parametrize("interval", [None, 5])
+    @pytest.mark.parametrize(
+        "coupled, allocate",
+        [(False, "taken-only"), (False, "all"), (True, "taken-only")],
+    )
+    def test_not_taken_run_before_first_taken(self, coupled, allocate, interval):
+        # a 2-set, 2-way BTB; words 64/66/68 share set 0, word 65 is set 1
+        a, b, c, d = 0x100, 0x108, 0x110, 0x104
+        cond, jump = BranchKind.CONDITIONAL, BranchKind.UNCONDITIONAL
+        ops = [
+            (a, cond, False, 0x200),  # not-taken run: misses, and
+            (a, cond, False, 0x200),  # allocates only under "all"
+            (a, cond, False, 0x200),
+            (d, cond, False, 0),  # no target: never allocates
+            (a, cond, True, 0x200),  # first taken execution
+            (a, cond, True, 0x200),
+            (a, cond, False, 0x200),
+            (a, cond, False, 0x200),
+            (b, cond, True, 0x300),
+            (c, jump, True, 0x400),  # evicts a
+            (a, cond, False, 0x200),
+            (a, cond, True, 0x240),  # re-inserted with a new target
+            (a, cond, True, 0x240),
+            (d, cond, False, 0x500),
+            (d, cond, True, 0x500),
+            (a, cond, False, 0x240),
+            (b, cond, False, 0x300),
+        ]
+        trace = Trace("btb-runs")
+        for pc, kind, taken, target in ops:
+            trace.append(start=pc, count=1, kind=kind, taken=taken, target=target)
+        _assert_btb_matches_reference(
+            TraceReplayContext(trace), coupled, 4, 2, allocate, interval
+        )
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_trace_without_breaks(self, coupled):
+        trace = Trace("straight-line")
+        for i in range(5):
+            trace.append(start=0x100 + 4 * i, count=1)
+        mech = _assert_btb_matches_reference(
+            TraceReplayContext(trace), coupled, 64, 4, "taken-only", None
+        )
+        assert len(mech) == 0
 
 
 class TestPackedTrace:

@@ -619,6 +619,25 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("store", [False, True])
+    def test_strict_cell_failure_is_a_one_line_error(
+        self, capsys, monkeypatch, tmp_path, store
+    ):
+        # armed through the environment: --faults would also turn on
+        # the resilient (retrying) mode
+        plan = _plan_path(tmp_path, [FaultSpec(action="raise", program="li")])
+        monkeypatch.setenv(FAULTS_ENV_VAR, plan)
+        argv = ["johnson", "--programs", "li", "--instructions", str(TINY)]
+        if store:
+            argv += ["--store", str(tmp_path / "store.sqlite")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        for part in ("config=", "program='li'", "seed=", "FaultInjectedError"):
+            assert part in lines[0]
+
     def test_quarantine_exits_nonzero_with_manifest(self, capsys, tmp_path):
         checkpoint = tmp_path / "ckpt"
         plan = _plan_path(

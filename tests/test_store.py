@@ -108,6 +108,35 @@ class TestRoundTrip:
             second.close()
 
 
+class TestCellKey:
+    def test_known_key_is_pinned(self):
+        # existing stores are keyed by these bytes
+        request = RunRequest(
+            config=ArchitectureConfig(
+                frontend="btb", entries=128, btb_assoc=4, engine="fast"
+            ),
+            program="gcc",
+            instructions=100_000,
+            seed=3,
+        )
+        assert cell_key(request) == "adead6549fd632ca"
+        assert cell_key(request) == "adead6549fd632ca"  # memoised
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_equal_requests_of_different_types_keep_their_keys(self, first):
+        # 1 == 1.0, but the canonical JSON (and so the key) differs
+        as_int = RunRequest(
+            config=ArchitectureConfig(frontend="btb", misfetch_penalty=1),
+            program="li",
+        )
+        as_float = RunRequest(config=ArchitectureConfig(frontend="btb"), program="li")
+        assert as_int == as_float
+        expected = {"int": "6ebbb670f3a16812", "float": "51cfc93d61ecf7d5"}
+        pairs = [("int", as_int), ("float", as_float)]
+        for name, request in pairs[first:] + pairs[:first]:
+            assert cell_key(request) == expected[name]
+
+
 class TestIntegrity:
     def _corrupt_all(self, store):
         with store._lock:

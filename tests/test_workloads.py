@@ -1,6 +1,9 @@
 """Tests for the synthetic-workload substrate: program model,
 generator, interpreter, profiles, corpus and Table-1 measurement."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.isa.branches import BranchKind
@@ -30,6 +33,7 @@ from repro.workloads.program import (
     UnconditionalSite,
 )
 from repro.workloads.stats import measure
+from repro.workloads.trace import PACKED_DTYPES
 
 
 class TestProgramModel:
@@ -230,6 +234,121 @@ class TestInterpreter:
         program = build_program(get_profile("li"))
         with pytest.raises(ValueError):
             execute(program, 0)
+
+
+def _trace_digest(trace) -> str:
+    """sha256 over the packed trace columns, in PACKED_DTYPES order."""
+    digest = hashlib.sha256()
+    packed = trace.packed()
+    for column in PACKED_DTYPES:
+        digest.update(column.encode())
+        digest.update(np.ascontiguousarray(packed[column]).tobytes())
+    return digest.hexdigest()
+
+
+def _layout(*procedures, address=0x2000):
+    for procedure in procedures:
+        for block in procedure.blocks:
+            block.address = address
+            address += block.size_bytes
+
+
+def _shared_site_program() -> SyntheticProgram:
+    """Blocks sharing one sticky conditional, one counted loop and one
+    indirect site object: per-site state is keyed by the site, not the
+    block."""
+    cond = ConditionalSite(target_block=3, taken_prob=0.4, sticky=0.6)
+    loop = LoopSite(head_block=0, continue_prob=0.0, fixed_trips=3)
+    jump = IndirectSite(target_blocks=(5, 6), weights=(1.0, 3.0))
+    body = Procedure(
+        name="f",
+        blocks=[
+            Block(3, cond),
+            Block(2, cond),
+            Block(1, loop),
+            Block(2, loop),
+            Block(1, jump),
+            Block(2, jump),
+            Block(1, ReturnSite()),
+        ],
+    )
+    main = Procedure(
+        name="main",
+        blocks=[
+            Block(1, CallSite(callee=1)),
+            Block(
+                2,
+                ConditionalSite(
+                    target_block=0, taken_prob=0.5, correlation_bits=4, salt=7
+                ),
+            ),
+            Block(1, UnconditionalSite(target_block=0)),
+            Block(1, ReturnSite()),
+        ],
+    )
+    _layout(main, body)
+    program = SyntheticProgram(name="shared", procedures=[main, body])
+    program.check()
+    return program
+
+
+class TestInterpreterGolden:
+    """The interpreter's traces, pinned by digests of their packed
+    columns (events, sha256) as the per-block interpreter produced
+    them; any change to the RNG draw sequence or the state keying
+    shows here."""
+
+    DIGESTS = {
+        "doduc": (8867, "e2c0c27043e6b129872a7f60e1022d0c1d26623bf998822ad47aea493b7d2da3"),
+        "espresso": (20518, "88ac533d51c8d2be56c1b622d1b5f59447e7db0ab60f7a216ae0af99ad88a08d"),
+        "gcc": (16268, "60052894f87e81712531774dec0ea34f878048a846b0a2dba1cccd91b5db7e34"),
+        "li": (18137, "c2bfae664d6aa80ab0a56c21023753bdc78fe530ea1834fec8258983a06886f4"),
+        "cfront": (13744, "2a20356c2ec63074c6cd568457a9a473091b7fcd0b873a960451bc45cd88c725"),
+        "groff": (17611, "0f392bb1cf394af7dc0f4b3bba44aa26a00dc1de19d9fa1bf6183886dfaba154"),
+        "server-frontend": (12452, "52fadc02d28742ed7762190d9824f1d4f52afb8b44c50dc80578cfcffe63ef65"),
+        "server-leaf": (14250, "054103a38f4108bb2f7694444e3d7d6b75f47257107cb7ca74a829909cbaeea4"),
+    }
+
+    def test_every_calibrated_program_is_covered(self):
+        assert set(self.DIGESTS) == set(PROFILES)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_calibrated_program_trace(self, name):
+        profile = get_profile(name)
+        program = build_program(profile, seed=profile.seed)
+        trace = execute(
+            program,
+            100_000,
+            seed=profile.seed + 1,
+            name=name,
+            profile_indirect_repeat=profile.indirect_repeat,
+        )
+        assert (trace.n_events, _trace_digest(trace)) == self.DIGESTS[name]
+
+    def test_shared_site_objects(self):
+        trace = execute(_shared_site_program(), 5_000, seed=3)
+        assert (trace.n_events, _trace_digest(trace)) == (
+            2577,
+            "6f2ce4473a6c7c2b526e575502f5615e296b398fcd9fe60afd9db9797cb154a1",
+        )
+        trace.validate()
+
+    def test_unaligned_block_raises_when_it_executes(self):
+        main = Procedure(
+            name="main",
+            blocks=[
+                Block(1, ConditionalSite(target_block=2, taken_prob=1.0)),
+                Block(2, UnconditionalSite(target_block=2)),
+                Block(1, ReturnSite()),
+            ],
+        )
+        _layout(main)
+        main.blocks[1].address += 2  # never executed: taken_prob=1
+        trace = execute(SyntheticProgram(name="m", procedures=[main]), 100)
+        assert trace.n_events == 2
+        main.blocks[2].address += 2
+        with pytest.raises(ValueError, match="not instruction-aligned"):
+            execute(SyntheticProgram(name="m", procedures=[main]), 100)
 
 
 class TestProfiles:
